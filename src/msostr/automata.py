@@ -4,14 +4,23 @@ Symbols pair a letter with a vector of k membership bits, one per free set
 variable; k = 0 gives ordinary automata over the alphabet.  All automata
 are immutable; every operation returns a new value.  Witnesses and
 counterexamples are always the shortlex-least word, so output is stable.
+
+Internally a symbol is its code ``letter_index << k | bits``, track 0 the
+most significant bit, so codes ascend in ``all_symbols`` order.  An NFA
+holds per state a tuple, by code, of ascending successor tuples; a DFA a
+flat successor list, ``table[state * len(symbols) + code]``.  Symbols and
+(state, symbol, state) triples appear only at the API edges: the
+``transitions`` attribute, ``accepts``, ``delta``, witnesses, enumeration.
+Input is checked only at the trust boundaries, the public ``Nfa(...)`` and
+``Dfa(...)`` constructors and ``parser.parse_automaton``; operations build
+their results unchecked with ``_make``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import and_, attrgetter, ne, or_
 from typing import NamedTuple
 
 from .errors import BadTrack, TrackMismatch
@@ -67,53 +76,129 @@ def word_str(word: Word) -> str:
     return " ".join(f"({s.letter},{','.join(map(str, s.bits))})" for s in word)
 
 
-@dataclass(frozen=True)
+def _union(sets) -> tuple[int, ...]:
+    """Ascending union of a sequence of ascending state tuples."""
+    return sets[0] if len(sets) == 1 else tuple(sorted(set().union(*sets)))
+
+
+def _bfs(starts, successors) -> list[int]:
+    """States reachable from ``starts``, breadth-first; each state's
+    successors are visited in the order ``successors(state)`` yields them."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for p in order:  # grows while iterated
+        for q in successors(p):
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+    return order
+
+
+def _encode(alphabet: Alphabet, tracks: int, n_states: int, items):
+    """Successor sets from checked (state, letter, bits, state) items."""
+    rows = [[set() for _ in range(len(alphabet) << tracks)] for _ in range(n_states)]
+    for p, letter, bits, q in items:
+        code = alphabet.index(letter)
+        for b in bits:
+            code = code << 1 | b
+        rows[p][code].add(q)
+    return tuple(tuple(tuple(sorted(t)) for t in row) for row in rows)
+
+
+def _checked(alphabet, tracks, n_states, initial, accepting, transitions):
+    """The trust boundary of the public constructors: check every field,
+    then encode the transitions."""
+    initial, accepting = frozenset(initial), frozenset(accepting)
+    items = [(p, s[0], tuple(s[1]), q) for (p, s, q) in transitions]
+    if n_states < 1:
+        raise ValueError("automaton needs at least one state")
+    for q in initial | accepting:
+        if not 0 <= q < n_states:
+            raise ValueError(f"state {q} out of range")
+    for (p, letter, bits, q) in items:
+        if not (0 <= p < n_states and 0 <= q < n_states):
+            raise ValueError(f"transition endpoint out of range: {(p, letter, bits, q)}")
+        if len(bits) != tracks:
+            raise TrackMismatch(f"symbol {(letter, bits)} does not have {tracks} tracks")
+        if letter not in alphabet:
+            raise ValueError(f"letter {letter!r} not in alphabet")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"symbol bits {bits} must be zeros and ones")
+    return initial, accepting, _encode(alphabet, tracks, n_states, items)
+
+
 class Nfa:
-    """Nondeterministic finite automaton without epsilon transitions."""
+    """Nondeterministic finite automaton without epsilon transitions.
 
-    alphabet: Alphabet
-    tracks: int
-    n_states: int
-    initial: frozenset[int]
-    accepting: frozenset[int]
-    transitions: frozenset[Transition]
+    ``Nfa(alphabet, tracks, n_states, initial, accepting, transitions)``
+    takes (state, symbol, state) triples, a symbol being a ``TrackSymbol``
+    or a (letter, bits) pair, and checks all of it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", frozenset(
-            (p, TrackSymbol(s[0], tuple(s[1])), q) for (p, s, q) in self.transitions))
-        if self.n_states < 1:
-            raise ValueError("automaton needs at least one state")
-        for q in self.initial | self.accepting:
-            if not 0 <= q < self.n_states:
-                raise ValueError(f"state {q} out of range")
-        for (p, s, q) in self.transitions:
-            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
-                raise ValueError(f"transition endpoint out of range: {(p, s, q)}")
-            if len(s.bits) != self.tracks:
-                raise TrackMismatch(f"symbol {s} does not have {self.tracks} tracks")
-            if s.letter not in self.alphabet:
-                raise ValueError(f"letter {s.letter!r} not in alphabet")
+    def __init__(self, alphabet: Alphabet, tracks: int, n_states: int,
+                 initial, accepting, transitions):
+        self.__post_init__(alphabet, tracks, n_states, *_checked(
+            alphabet, tracks, n_states, initial, accepting, transitions))
 
-    # -- derived lookup tables -------------------------------------------
+    def __post_init__(self, alphabet, tracks, n_states, initial, accepting, core):
+        """Set the fields; every construction, checked or not, ends here.
+        The benchmark's trace times this method as ``automata.construct``."""
+        self.alphabet = alphabet
+        self.tracks = tracks
+        self.n_states = n_states
+        self.initial = initial
+        self.accepting = accepting
+        self._core = core
+        self._ns = len(alphabet) << tracks
 
-    @cached_property
-    def _out(self) -> dict[tuple[int, TrackSymbol], frozenset[int]]:
-        table: dict[tuple[int, TrackSymbol], set[int]] = {}
-        for (p, s, q) in self.transitions:
-            table.setdefault((p, s), set()).add(q)
-        return {k: frozenset(v) for k, v in table.items()}
+    @classmethod
+    def _make(cls, alphabet, tracks, n_states, initial, accepting, core):
+        """Unchecked constructor for automata built from trusted parts."""
+        aut = cls.__new__(cls)
+        aut.__post_init__(alphabet, tracks, n_states, initial, accepting, core)
+        return aut
+
+    def _fields(self):
+        return (type(self), self.alphabet, self.tracks, self.n_states, self.initial,
+                self.accepting)
+
+    def __eq__(self, other):
+        return (isinstance(other, Nfa) and self._fields() == other._fields()
+                and self._core == other._core)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.alphabet.symbols}, tracks={self.tracks}, "
+                f"states={self.n_states}, initial={sorted(self.initial)}, "
+                f"accepting={sorted(self.accepting)})")
+
+    # per state, per symbol code: the ascending successor tuple
+    _succ = property(attrgetter("_core"))
+
+    def _successors(self, p: int):
+        """Successors of ``p``, by symbol code, then ascending."""
+        return (q for t in self._succ[p] for q in t)
 
     @cached_property
     def symbols(self) -> tuple[TrackSymbol, ...]:
         return all_symbols(self.alphabet, self.tracks)
 
-    def _step(self, states: frozenset[int], s: TrackSymbol) -> frozenset[int]:
-        nxt: set[int] = set()
-        for p in states:
-            nxt |= self._out.get((p, s), frozenset())
-        return frozenset(nxt)
+    @cached_property
+    def _code(self) -> dict[TrackSymbol, int]:
+        return {s: c for c, s in enumerate(self.symbols)}
+
+    @cached_property
+    def transitions(self) -> frozenset[Transition]:
+        symbols = self.symbols
+        return frozenset((p, symbols[c], q) for p, row in enumerate(self._succ)
+                         for c, t in enumerate(row) for q in t)
+
+    def _empty(self) -> "Nfa":
+        """The empty language: one initial state, no transitions."""
+        return Nfa._make(self.alphabet, self.tracks, 1, frozenset({0}), frozenset(),
+                         (((),) * self._ns,))
 
     def _check_compatible(self, other: "Nfa") -> None:
         if self.alphabet != other.alphabet or self.tracks != other.tracks:
@@ -123,228 +208,185 @@ class Nfa:
 
     def accepts(self, word) -> bool:
         """True iff some run over ``word`` leads from initial to accepting."""
-        current = frozenset(self.initial)
+        succ = self._succ
+        current = tuple(self.initial)
         for s in _coerce_word(word, self.tracks):
             if s.letter not in self.alphabet:
                 raise TrackMismatch(f"letter {s.letter!r} not in alphabet")
-            current = self._step(current, s)
+            code = self._code.get(s)
+            current = () if code is None else _union([succ[p][code] for p in current])
             if not current:
                 return False
-        return bool(current & self.accepting)
+        return not self.accepting.isdisjoint(current)
 
     def is_deterministic(self) -> bool:
-        if len(self.initial) != 1:
-            return False
-        return all(len(v) <= 1 for v in self._out.values())
+        return len(self.initial) == 1 and all(len(t) <= 1 for row in self._succ for t in row)
 
     def is_complete(self) -> bool:
-        return all((q, s) in self._out
-                   for q in range(self.n_states) for s in self.symbols)
+        return all(all(row) for row in self._succ)
 
     # -- constructions ----------------------------------------------------
 
     def totalize(self) -> "Nfa":
         """Add a non-accepting sink so every (state, symbol) has a successor."""
-        missing = [(q, s) for q in range(self.n_states) for s in self.symbols
-                   if (q, s) not in self._out]
-        if not missing:
+        if self.is_complete():
             return self
-        sink = self.n_states
-        extra = {(q, s, sink) for (q, s) in missing}
-        extra |= {(sink, s, sink) for s in self.symbols}
-        return Nfa(self.alphabet, self.tracks, sink + 1, self.initial,
-                   self.accepting, self.transitions | extra)
+        sink = (self.n_states,)
+        rows = tuple(tuple(t or sink for t in row) for row in self._succ)
+        return Nfa._make(self.alphabet, self.tracks, self.n_states + 1, self.initial,
+                         self.accepting, rows + ((sink,) * self._ns,))
 
     def determinize(self) -> "Dfa":
         """Subset construction; the result is total and deterministic."""
-        start = frozenset(self.initial)
-        index: dict[frozenset[int], int] = {start: 0}
-        queue: deque[frozenset[int]] = deque([start])
-        transitions: set[Transition] = set()
-        accepting: set[int] = set()
-        while queue:
-            subset = queue.popleft()
-            i = index[subset]
-            if subset & self.accepting:
-                accepting.add(i)
-            for s in self.symbols:
-                target = self._step(subset, s)
-                if target not in index:
-                    index[target] = len(index)
-                    queue.append(target)
-                transitions.add((i, s, index[target]))
-        return Dfa(self.alphabet, self.tracks, len(index), frozenset({0}),
-                   frozenset(accepting), frozenset(transitions))
+        return self._explore(tuple(sorted(self.initial)),
+                             lambda subset: not self.accepting.isdisjoint(subset), self._moves)
+
+    def _explore(self, start, is_final, moves) -> "Dfa":
+        """The DFA of the keys reachable from ``start``, numbered
+        breadth-first; ``moves(key)`` gives the key reached on each code."""
+        index = {start: 0}
+        order = [start]
+        table: list[int] = []
+        for key in order:  # grows while iterated
+            for target in moves(key):
+                j = index.get(target)
+                if j is None:
+                    j = index[target] = len(order)
+                    order.append(target)
+                table.append(j)
+        return Dfa._make(self.alphabet, self.tracks, len(order), frozenset({0}),
+                         frozenset(i for i, key in enumerate(order) if is_final(key)), table)
 
     def product(self, other: "Nfa", combine: str) -> "Nfa":
         """Synchronous product: ``and`` intersects, ``or`` unites languages.
 
-        Union requires complete inputs, so both are totalized first.
+        Union must run both inputs on every word, so each gets an initial
+        state and is totalized first.  The product of two DFAs is a DFA.
         """
         self._check_compatible(other)
-        if combine not in ("and", "or"):
+        if combine not in _KEEP:
             raise ValueError(f"combine must be 'and' or 'or', got {combine!r}")
-        a, b = (self.totalize(), other.totalize()) if combine == "or" else (self, other)
-        index: dict[tuple[int, int], int] = {}
-        queue: deque[tuple[int, int]] = deque()
-        for p in sorted(a.initial):
-            for q in sorted(b.initial):
-                if (p, q) not in index:
-                    index[(p, q)] = len(index)
-                    queue.append((p, q))
-        transitions: set[Transition] = set()
-        accepting: set[int] = set()
-        while queue:
-            p, q = queue.popleft()
-            i = index[(p, q)]
-            in_a = p in a.accepting
-            in_b = q in b.accepting
-            if (in_a and in_b) if combine == "and" else (in_a or in_b):
-                accepting.add(i)
-            for s in a.symbols:
-                for p2 in sorted(a._out.get((p, s), frozenset())):
-                    for q2 in sorted(b._out.get((q, s), frozenset())):
-                        if (p2, q2) not in index:
-                            index[(p2, q2)] = len(index)
-                            queue.append((p2, q2))
-                        transitions.add((i, s, index[(p2, q2)]))
-        if not index:
-            return Nfa(self.alphabet, self.tracks, 1, frozenset({0}),
-                       frozenset(), frozenset())
-        return Nfa(self.alphabet, self.tracks, len(index),
-                   frozenset({index[k] for k in index if k[0] in a.initial and k[1] in b.initial}),
-                   frozenset(accepting), frozenset(transitions))
+        a, b = self, other
+        if combine == "or":
+            a, b = ((x if x.initial else x._empty()).totalize() for x in (self, other))
+        if isinstance(a, Dfa) and isinstance(b, Dfa):
+            return a._explore(*_pairs(a, b, _KEEP[combine]))
+        sa, sb, width = a._succ, b._succ, b.n_states
+        pairs = {}  # the pair (p, q) is keyed p * width + q
+
+        def successors(key):
+            p, q = divmod(key, width)
+            pairs[key] = [[p2 * width + q2 for p2 in ta for q2 in tb]
+                          for ta, tb in zip(sa[p], sb[q])]
+            return (target for targets in pairs[key] for target in targets)
+
+        order = _bfs([p * width + q for p in sorted(a.initial) for q in sorted(b.initial)],
+                     successors)
+        if not order:
+            return self._empty()
+        index = {key: i for i, key in enumerate(order)}
+        keep = _KEEP[combine]
+        final = frozenset(i for i, key in enumerate(order)
+                          if keep(key // width in a.accepting, key % width in b.accepting))
+        rows = tuple(tuple(tuple(sorted(index[t] for t in targets)) for targets in pairs[key])
+                     for key in order)
+        return Nfa._make(self.alphabet, self.tracks, len(order),
+                         frozenset(range(len(a.initial) * len(b.initial))), final, rows)
 
     def complement(self) -> "Dfa":
         """Determinize, then flip acceptance; exact within the track alphabet."""
         det = self.determinize()
-        return Dfa(det.alphabet, det.tracks, det.n_states, det.initial,
-                   frozenset(range(det.n_states)) - det.accepting, det.transitions)
+        return Dfa._make(det.alphabet, det.tracks, det.n_states, det.initial,
+                         frozenset(range(det.n_states)) - det.accepting, det._core)
 
     def project(self, track: int) -> "Nfa":
         """Erase one track; implements existential quantification over it."""
         if not 0 <= track < self.tracks:
             raise BadTrack(f"track {track} out of range 0..{self.tracks - 1}")
-        return Nfa(self.alphabet, self.tracks - 1, self.n_states, self.initial,
-                   self.accepting,
-                   frozenset((p, s.drop(track), q) for (p, s, q) in self.transitions))
+        low = 1 << (self.tracks - 1 - track)  # the erased bit of a code
+        kept = [(c & -low) << 1 | c & (low - 1) for c in range(self._ns >> 1)]
+        rows = tuple(tuple(row[c] if row[c] == row[c | low] else _union((row[c], row[c | low]))
+                           for c in kept) for row in self._succ)
+        return Nfa._make(self.alphabet, self.tracks - 1, self.n_states, self.initial,
+                         self.accepting, rows)
 
     def trim(self) -> "Nfa":
         """Keep states both reachable and co-reachable, renumbered by BFS."""
-        reach: set[int] = set()
-        queue = deque(sorted(self.initial))
-        reach.update(queue)
-        while queue:
-            p = queue.popleft()
-            for s in self.symbols:
-                for q in self._out.get((p, s), frozenset()):
-                    if q not in reach:
-                        reach.add(q)
-                        queue.append(q)
-        back: dict[int, set[int]] = {}
-        for (p, _, q) in self.transitions:
-            back.setdefault(q, set()).add(p)
-        co: set[int] = set(self.accepting)
-        queue = deque(sorted(self.accepting))
-        while queue:
-            q = queue.popleft()
-            for p in back.get(q, ()):
-                if p not in co:
-                    co.add(p)
-                    queue.append(p)
-        live = reach & co
+        live = live_and_dead_states(self)[0]
         if not live:
-            return Nfa(self.alphabet, self.tracks, 1, frozenset({0}),
-                       frozenset(), frozenset())
-        order: list[int] = []
-        seen: set[int] = set()
-        queue = deque(sorted(self.initial & live))
-        seen.update(queue)
-        while queue:
-            p = queue.popleft()
-            order.append(p)
-            for s in self.symbols:
-                for q in sorted(self._out.get((p, s), frozenset())):
-                    if q in live and q not in seen:
-                        seen.add(q)
-                        queue.append(q)
+            return self._empty()
+        order = _bfs(sorted(self.initial & live),
+                     lambda p: (q for q in self._successors(p) if q in live))
         renum = {p: i for i, p in enumerate(order)}
-        return Nfa(self.alphabet, self.tracks, len(order),
-                   frozenset(renum[p] for p in self.initial & live),
-                   frozenset(renum[p] for p in self.accepting & live),
-                   frozenset((renum[p], s, renum[q]) for (p, s, q) in self.transitions
-                             if p in live and q in live))
+        rows = tuple(tuple(tuple(sorted(renum[q] for q in t if q in live))
+                           for t in self._succ[p]) for p in order)
+        return Nfa._make(self.alphabet, self.tracks, len(order),
+                         frozenset(renum[p] for p in self.initial & live),
+                         frozenset(renum[p] for p in self.accepting & live), rows)
 
     def star(self) -> "Nfa":
         """Kleene star; used to witness non-closure results, not by compile."""
-        fresh = self.n_states
-        transitions = set(self.transitions)
-        for p in sorted(self.initial):
-            for s in self.symbols:
-                for q in self._out.get((p, s), frozenset()):
-                    transitions.add((fresh, s, q))
-        for (p, s, q) in list(transitions):
-            if q in self.accepting:
-                for i in self.initial:
-                    transitions.add((p, s, i))
-        return Nfa(self.alphabet, self.tracks, fresh + 1,
-                   frozenset({fresh}), self.accepting | {fresh},
-                   frozenset(transitions))
+        back = tuple(sorted(self.initial))
+        rows = tuple(tuple(t if self.accepting.isdisjoint(t) else _union((t, back))
+                           for t in row) for row in self._succ + (tuple(self._moves(self.initial)),))
+        return Nfa._make(self.alphabet, self.tracks, self.n_states + 1,
+                         frozenset({self.n_states}), self.accepting | {self.n_states}, rows)
 
     def concat(self, other: "Nfa") -> "Nfa":
         """Language concatenation via the standard epsilon-free construction."""
         self._check_compatible(other)
         shift = self.n_states
-        transitions: set[Transition] = set(self.transitions)
-        transitions |= {(p + shift, s, q + shift) for (p, s, q) in other.transitions}
-        for (p, s, q) in self.transitions:
-            if q in self.accepting:
-                for i in other.initial:
-                    transitions.add((p, s, i + shift))
+        into = tuple(sorted(i + shift for i in other.initial))
+        rows = tuple(tuple(t if self.accepting.isdisjoint(t) else t + into for t in row)
+                     for row in self._succ)
+        rows += tuple(tuple(tuple(q + shift for q in t) for t in row) for row in other._succ)
         initial = set(self.initial)
         if self.initial & self.accepting:
             initial |= {i + shift for i in other.initial}
-        accepting = {q + shift for q in other.accepting}
+        final = {q + shift for q in other.accepting}
         if other.initial & other.accepting:
-            accepting |= set(self.accepting)
-        return Nfa(self.alphabet, self.tracks, shift + other.n_states,
-                   frozenset(initial), frozenset(accepting), frozenset(transitions))
+            final |= self.accepting
+        return Nfa._make(self.alphabet, self.tracks, shift + other.n_states,
+                         frozenset(initial), frozenset(final), rows)
 
     def with_epsilon(self, want: bool) -> "Nfa":
         """Force membership of the empty word without touching other words."""
-        has = bool(self.initial & self.accepting)
-        if has == want:
+        if bool(self.initial & self.accepting) == want:
             return self
         fresh = self.n_states
-        transitions = set(self.transitions)
-        for p in sorted(self.initial):
-            for s in self.symbols:
-                for q in self._out.get((p, s), frozenset()):
-                    transitions.add((fresh, s, q))
         accepting = self.accepting | {fresh} if want else self.accepting
-        return Nfa(self.alphabet, self.tracks, fresh + 1, frozenset({fresh}),
-                   frozenset(accepting), frozenset(transitions))
+        return Nfa._make(self.alphabet, self.tracks, fresh + 1, frozenset({fresh}),
+                         accepting, self._succ + (tuple(self._moves(self.initial)),))
 
     # -- decision procedures ----------------------------------------------
 
     def shortest_word(self) -> Word | None:
         """Shortlex-least accepted word, or None if the language is empty."""
-        if self.initial & self.accepting:
+        return self._search(tuple(sorted(self.initial)),
+                            lambda subset: enumerate(self._moves(subset)),
+                            lambda subset: not self.accepting.isdisjoint(subset))
+
+    def _moves(self, subset):
+        """The successor set of a set of states on each code."""
+        rows = [self._succ[p] for p in subset]
+        return (rows[0] if len(rows) == 1 else
+                map(_union, zip(*rows)) if rows else ((),) * self._ns)
+
+    def _search(self, start, moves, is_goal) -> Word | None:
+        """Shortlex-least word leading from ``start`` to a goal key, breadth
+        first; ``moves(key)`` lists (code, key) pairs in code order.  The
+        empty tuple, an empty set of states, is a dead end."""
+        if is_goal(start):
             return ()
-        start = frozenset(self.initial)
-        words: dict[frozenset[int], Word] = {start: ()}
-        queue: deque[frozenset[int]] = deque([start])
-        while queue:
-            subset = queue.popleft()
-            base = words[subset]
-            for s in self.symbols:
-                target = self._step(subset, s)
-                if not target or target in words:
-                    continue
-                words[target] = base + (s,)
-                if target & self.accepting:
-                    return words[target]
-                queue.append(target)
+        words = {start: ()}
+        order = [start]
+        for key in order:  # grows while iterated
+            for code, target in moves(key):
+                if target != () and target not in words:
+                    words[target] = words[key] + (code,)
+                    if is_goal(target):
+                        return tuple(self.symbols[c] for c in words[target])
+                    order.append(target)
         return None
 
     def is_empty(self) -> bool:
@@ -353,28 +395,8 @@ class Nfa:
     def counterexample(self, other: "Nfa") -> Word | None:
         """Shortlex-least word on which the two languages differ."""
         self._check_compatible(other)
-        a = self.determinize()
-        b = other.determinize()
-        ia = next(iter(a.initial))
-        ib = next(iter(b.initial))
-        pair = (ia, ib)
-        if (ia in a.accepting) != (ib in b.accepting):
-            return ()
-        words: dict[tuple[int, int], Word] = {pair: ()}
-        queue: deque[tuple[int, int]] = deque([pair])
-        while queue:
-            p, q = queue.popleft()
-            base = words[(p, q)]
-            for s in a.symbols:
-                p2 = next(iter(a._out[(p, s)]))
-                q2 = next(iter(b._out[(q, s)]))
-                if (p2, q2) in words:
-                    continue
-                words[(p2, q2)] = base + (s,)
-                if (p2 in a.accepting) != (q2 in b.accepting):
-                    return words[(p2, q2)]
-                queue.append((p2, q2))
-        return None
+        start, differ, moves = _pairs(self.determinize(), other.determinize(), ne)
+        return self._search(start, lambda key: enumerate(moves(key)), differ)
 
     def equivalent(self, other: "Nfa") -> bool:
         return self.counterexample(other) is None
@@ -389,115 +411,131 @@ class Nfa:
 
     def enumerate_words(self, max_len: int) -> list:
         """Accepted words of length <= max_len, shortlex; strings when k = 0."""
-        out: list[Word] = []
-        if self.initial & self.accepting:
-            out.append(())
-        frontier: list[tuple[Word, frozenset[int]]] = [((), frozenset(self.initial))]
+        out: list[tuple[int, ...]] = [()] if self.initial & self.accepting else []
+        frontier = [((), tuple(sorted(self.initial)))]
         for _ in range(max_len):
-            nxt: list[tuple[Word, frozenset[int]]] = []
+            nxt = []
             for word, states in frontier:
-                for s in self.symbols:
-                    target = self._step(states, s)
-                    if not target:
-                        continue
-                    grown = word + (s,)
-                    if target & self.accepting:
-                        out.append(grown)
-                    nxt.append((grown, target))
+                for code, target in enumerate(self._moves(states)):
+                    if target:
+                        grown = word + (code,)
+                        if not self.accepting.isdisjoint(target):
+                            out.append(grown)
+                        nxt.append((grown, target))
             frontier = nxt
+        words = [tuple(self.symbols[c] for c in w) for w in out]
         if self.tracks == 0:
-            return ["".join(s.letter for s in w) for w in out]
-        return out
+            return ["".join(s.letter for s in w) for w in words]
+        return words
+
+
+_KEEP = {"and": and_, "or": or_}  # acceptance of a pair in a product
+
+
+def _pairs(a: "Dfa", b: "Dfa", keep):
+    """Pairs of states of two DFAs, the pair (p, q) keyed p * width + q: the
+    start pair, whether ``keep`` accepts a pair, and a pair's moves."""
+    ns, width, ta, tb = a._ns, b.n_states, a._core, b._core
+
+    def moves(key):
+        p, q = divmod(key, width)
+        return [x * width + y for x, y in zip(ta[p * ns:p * ns + ns], tb[q * ns:q * ns + ns])]
+
+    return (next(iter(a.initial)) * width + next(iter(b.initial)),
+            lambda key: keep(key // width in a.accepting, key % width in b.accepting), moves)
+
+
+def live_and_dead_states(aut: Nfa) -> tuple[set[int], set[int]]:
+    """Split reachable states into live (can reach acceptance) and dead."""
+    reach = _bfs(sorted(aut.initial), aut._successors)
+    back: list[list[int]] = [[] for _ in range(aut.n_states)]
+    for p in reach:
+        for q in aut._successors(p):
+            back[q].append(p)
+    live = set(_bfs(sorted(aut.accepting.intersection(reach)), back.__getitem__))
+    return live, set(reach) - live
 
 
 class Dfa(Nfa):
     """Total deterministic automaton: one initial state, one successor per
-    (state, symbol) pair; checked structurally at construction."""
+    (state, symbol) pair; the public constructor checks both.  ``_core``
+    is the flat successor table."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.initial) != 1:
+    def __init__(self, alphabet: Alphabet, tracks: int, n_states: int,
+                 initial, accepting, transitions):
+        initial, accepting, rows = _checked(
+            alphabet, tracks, n_states, initial, accepting, transitions)
+        if len(initial) != 1:
             raise ValueError("DFA needs exactly one initial state")
-        seen: set[tuple[int, TrackSymbol]] = set()
-        for (p, s, _) in self.transitions:
-            if (p, s) in seen:
-                raise ValueError(f"nondeterministic on {(p, s)}")
-            seen.add((p, s))
-        want = self.n_states * len(self.symbols)
-        if len(seen) != want:
-            raise ValueError("transition function is not total")
+        for p, row in enumerate(rows):
+            for c, t in enumerate(row):
+                if len(t) != 1:
+                    raise ValueError(f"DFA needs one successor of each state on each symbol, "
+                                     f"not {len(t)} on {(p, all_symbols(alphabet, tracks)[c])}")
+        self.__post_init__(alphabet, tracks, n_states, initial, accepting,
+                           [t[0] for row in rows for t in row])
+
+    @cached_property
+    def _succ(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        ns, table = self._ns, self._core
+        return tuple(tuple((q,) for q in table[i:i + ns]) for i in range(0, len(table), ns))
+
+    def is_complete(self) -> bool:
+        return True
 
     def delta(self, state: int, s: TrackSymbol) -> int:
-        return next(iter(self._out[(state, s)]))
+        return self._core[state * self._ns + self._code[s]]
 
     def determinize(self) -> "Dfa":
         return self
 
     def minimize(self) -> "Dfa":
-        """Unique minimal complete DFA via Hopcroft partition refinement."""
-        # restrict to reachable states first
-        reach: list[int] = []
-        seen: set[int] = set(self.initial)
-        queue = deque(self.initial)
-        while queue:
-            p = queue.popleft()
-            reach.append(p)
-            for s in self.symbols:
-                q = self.delta(p, s)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        states = sorted(seen)
-        pred: dict[TrackSymbol, dict[int, set[int]]] = {s: {} for s in self.symbols}
-        for p in states:
-            for s in self.symbols:
-                pred[s].setdefault(self.delta(p, s), set()).add(p)
+        """Unique minimal complete DFA, states numbered breadth-first.
 
-        acc = frozenset(q for q in states if q in self.accepting)
-        rej = frozenset(states) - acc
-        partition: set[frozenset[int]] = {b for b in (acc, rej) if b}
-        work: deque[frozenset[int]] = deque(partition)
+        Hopcroft's partition refinement (1971), keeping the blocks reachable
+        from the initial one: a splitter (block, symbol) splits every block
+        holding some but not all of its predecessors.  The larger half keeps
+        the block's number and queued splitters, the smaller half is queued
+        anew, and a split costs the smaller half plus the predecessors
+        scanned, so the work is O(n·|Σ|·log n).
+        """
+        ns, n, table, final = self._ns, self.n_states, self._core, self.accepting
+        # symbols with equal columns act alike: split on one of each
+        columns = dict.fromkeys(zip(*(table[i:i + ns] for i in range(0, n * ns, ns))))
+        inverse = [[[] for _ in range(n)] for _ in columns]
+        for inv, column in zip(inverse, columns):
+            for p, q in enumerate(column):
+                inv[q].append(p)
+        blocks = sorted((b for b in (set(final), set(range(n)) - set(final)) if b), key=len)
+        block_of = [len(blocks) - 1 if q in blocks[-1] else 0 for q in range(n)]
+        work = {(0, c) for c in range(len(inverse))} if len(blocks) == 2 else set()
         while work:
-            splitter = work.popleft()
-            for s in self.symbols:
-                x = set()
-                for q in splitter:
-                    x |= pred[s].get(q, set())
-                if not x:
+            splitter, c = work.pop()
+            hit: dict[int, set[int]] = {}
+            for q in blocks[splitter]:
+                for p in inverse[c][q]:
+                    hit.setdefault(block_of[p], set()).add(p)
+            for i, part in hit.items():
+                block = blocks[i]
+                if len(part) == len(block):
                     continue
-                for block in list(partition):
-                    inside = block & x
-                    outside = block - x
-                    if inside and outside:
-                        partition.remove(block)
-                        partition.update((frozenset(inside), frozenset(outside)))
-                        if block in work:
-                            work.remove(block)
-                            work.append(frozenset(inside))
-                            work.append(frozenset(outside))
-                        else:
-                            work.append(frozenset(inside) if len(inside) <= len(outside)
-                                        else frozenset(outside))
+                if 2 * len(part) <= len(block):
+                    block -= part  # in place: costs len(part), not len(block)
+                    small = part
+                else:  # costs len(part) + len(small); part was scanned already
+                    small, blocks[i] = block - part, part
+                new = len(blocks)
+                blocks.append(small)
+                for q in small:
+                    block_of[q] = new
+                work.update((new, d) for d in range(len(inverse)))
 
-        block_of = {q: block for block in partition for q in block}
-        init_block = block_of[next(iter(self.initial))]
-        order: list[frozenset[int]] = [init_block]
-        index = {init_block: 0}
-        queue2 = deque([init_block])
-        while queue2:
-            block = queue2.popleft()
-            rep = min(block)
-            for s in self.symbols:
-                target = block_of[self.delta(rep, s)]
-                if target not in index:
-                    index[target] = len(index)
-                    order.append(target)
-                    queue2.append(target)
-        transitions = frozenset((index[b], s, index[block_of[self.delta(min(b), s)]])
-                                for b in order for s in self.symbols)
-        accepting = frozenset(index[b] for b in order if min(b) in self.accepting)
-        return Dfa(self.alphabet, self.tracks, len(order), frozenset({0}),
-                   accepting, transitions)
+        def successors(block):  # any state of a block stands for all of them
+            p = next(iter(blocks[block]))
+            return [block_of[q] for q in table[p * ns:p * ns + ns]]
+
+        return self._explore(block_of[next(iter(self.initial))],
+                             lambda block: not final.isdisjoint(blocks[block]), successors)
 
     def isomorphic(self, other: "Dfa") -> bool:
         """State-renaming equality of two total DFAs; both must be fully
@@ -505,49 +543,8 @@ class Dfa(Nfa):
         self._check_compatible(other)
         if self.n_states != other.n_states:
             return False
-        return _canonical(self) == _canonical(other)
-
-
-def _canonical(d: Dfa):
-    order = [next(iter(d.initial))]
-    index = {order[0]: 0}
-    queue = deque(order)
-    while queue:
-        p = queue.popleft()
-        for s in d.symbols:
-            q = d.delta(p, s)
-            if q not in index:
-                index[q] = len(index)
-                order.append(q)
-                queue.append(q)
-    if len(index) != d.n_states:
-        raise ValueError("isomorphism check requires all states reachable")
-    return (d.n_states,
-            frozenset(index[q] for q in d.accepting),
-            frozenset((index[p], s, index[d.delta(p, s)]) for p in order for s in d.symbols))
-
-
-def live_and_dead_states(d: Dfa) -> tuple[set[int], set[int]]:
-    """Split reachable states into live (can reach acceptance) and dead."""
-    reach: set[int] = set(d.initial)
-    queue = deque(d.initial)
-    while queue:
-        p = queue.popleft()
-        for s in d.symbols:
-            q = d.delta(p, s)
-            if q not in reach:
-                reach.add(q)
-                queue.append(q)
-    back: dict[int, set[int]] = {}
-    for (p, _, q) in d.transitions:
-        back.setdefault(q, set()).add(p)
-    co: set[int] = set(d.accepting)
-    queue = deque(d.accepting)
-    while queue:
-        q = queue.popleft()
-        for p in back.get(q, ()):
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    live = reach & co
-    return live, reach - live
+        a, b = (d._explore(next(iter(d.initial)), d.accepting.__contains__, d._successors)
+                for d in (self, other))
+        if a.n_states != self.n_states or b.n_states != other.n_states:
+            raise ValueError("isomorphism check requires all states reachable")
+        return a == b

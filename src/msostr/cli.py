@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .automata import Nfa, word_str
 from .compiler import compile_formula
@@ -249,6 +250,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a crash must not exit 1, the negative verdict
+        print(f"INTERNAL_ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_ERROR
 
 

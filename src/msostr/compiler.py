@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import syntax as S
-from .automata import Dfa, Nfa, all_symbols
+from .automata import Dfa, Nfa
 from .errors import UnknownLetter, UnmappedVariable
 from .semantics import Assignment, EpsilonMode, evaluate
 from .syntax import Alphabet, Formula, expand, free_vars
@@ -232,69 +232,59 @@ def so_free_ordered(core: CoreSO) -> tuple[str, ...]:
 
 
 # -- atomic automata ------------------------------------------------------
+#
+# Each atom is built straight from symbol codes (see ``automata``): the bit
+# of track i in code c is ``c >> (tracks - 1 - i) & 1`` and its letter
+# index is ``c >> tracks``.  ``moves`` maps what an atom reads of a symbol
+# to its (source, target) pairs; state 0 is initial.
 
-def _loop_state_automaton(alphabet: Alphabet, tracks: int,
-                          keep) -> Nfa:
-    """One accepting state looping on every symbol satisfying ``keep``."""
-    transitions = {(0, s, 0) for s in all_symbols(alphabet, tracks) if keep(s)}
-    return Nfa(alphabet, tracks, 1, frozenset({0}), frozenset({0}),
-               frozenset(transitions))
+def _atom(alphabet: Alphabet, tracks: int, n_states: int, accepting: int,
+          moves, *reads) -> Nfa:
+    ns = len(alphabet) << tracks
+    columns = [list(map(read, range(ns))) for read in reads]
+    rows = [[()] * ns for _ in range(n_states)]
+    for c, read in enumerate(zip(*columns)):
+        for p, q in moves[read]:  # at most one move per source
+            rows[p][c] = (q,)
+    return Nfa._make(alphabet, tracks, n_states, frozenset({0}),
+                     frozenset({accepting}), tuple(map(tuple, rows)))
+
+
+def _bit(tracks: int, i: int):
+    return lambda c: c >> (tracks - 1 - i) & 1
+
+
+_LOOP = ((0, 0),)
+# inclusion atoms: one state, blocked where the first read is 1, the second 0
+_IMPLIES = {(0, 0): _LOOP, (0, 1): _LOOP, (1, 1): _LOOP, (1, 0): ()}
 
 
 def _aut_subset_w(i: int, letter: str, alphabet: Alphabet, tracks: int) -> Nfa:
-    return _loop_state_automaton(
-        alphabet, tracks, lambda s: s.bits[i] == 0 or s.letter == letter)
+    a = alphabet.index(letter)
+    return _atom(alphabet, tracks, 1, 0, _IMPLIES,
+                 _bit(tracks, i), lambda c: int(c >> tracks == a))
 
 
 def _aut_subset(i: int, j: int, alphabet: Alphabet, tracks: int) -> Nfa:
-    return _loop_state_automaton(
-        alphabet, tracks, lambda s: not (s.bits[i] == 1 and s.bits[j] == 0))
+    return _atom(alphabet, tracks, 1, 0, _IMPLIES, _bit(tracks, i), _bit(tracks, j))
 
 
 def _aut_sing(i: int, alphabet: Alphabet, tracks: int) -> Nfa:
-    symbols = all_symbols(alphabet, tracks)
-    transitions = set()
-    for s in symbols:
-        if s.bits[i] == 0:
-            transitions.add((0, s, 0))
-            transitions.add((1, s, 1))
-        else:
-            transitions.add((0, s, 1))
-    return Nfa(alphabet, tracks, 2, frozenset({0}), frozenset({1}),
-               frozenset(transitions))
+    return _atom(alphabet, tracks, 2, 1, {(0,): ((0, 0), (1, 1)), (1,): ((0, 1),)},
+                 _bit(tracks, i))
 
 
 def _aut_succ(i: int, j: int, alphabet: Alphabet, tracks: int) -> Nfa:
-    symbols = all_symbols(alphabet, tracks)
-    transitions = set()
-    for s in symbols:
-        bi, bj = s.bits[i], s.bits[j]
-        if bi == 0 and bj == 0:
-            transitions.add((0, s, 0))
-            transitions.add((2, s, 2))
-        elif bi == 1 and bj == 0:
-            transitions.add((0, s, 1))
-        elif bi == 0 and bj == 1:
-            transitions.add((1, s, 2))
-    return Nfa(alphabet, tracks, 3, frozenset({0}), frozenset({2}),
-               frozenset(transitions))
+    return _atom(alphabet, tracks, 3, 2,
+                 {(0, 0): ((0, 0), (2, 2)), (1, 0): ((0, 1),), (0, 1): ((1, 2),),
+                  (1, 1): ()}, _bit(tracks, i), _bit(tracks, j))
 
 
 def _aut_less(i: int, j: int, alphabet: Alphabet, tracks: int) -> Nfa:
     """Singleton i strictly before singleton j; a gap is allowed."""
-    symbols = all_symbols(alphabet, tracks)
-    transitions = set()
-    for s in symbols:
-        bi, bj = s.bits[i], s.bits[j]
-        if bi == 0 and bj == 0:
-            for q in (0, 1, 2):
-                transitions.add((q, s, q))
-        elif bi == 1 and bj == 0:
-            transitions.add((0, s, 1))
-        elif bi == 0 and bj == 1:
-            transitions.add((1, s, 2))
-    return Nfa(alphabet, tracks, 3, frozenset({0}), frozenset({2}),
-               frozenset(transitions))
+    return _atom(alphabet, tracks, 3, 2,
+                 {(0, 0): ((0, 0), (1, 1), (2, 2)), (1, 0): ((0, 1),), (0, 1): ((1, 2),),
+                  (1, 1): ()}, _bit(tracks, i), _bit(tracks, j))
 
 
 Atom = Union[SubsetW, SubsetSO, SuccSO, LessSO, SingSO]

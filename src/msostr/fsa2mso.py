@@ -46,8 +46,7 @@ def _prepare(aut: Nfa) -> Nfa:
         raise TrackMismatch("encoding is defined over the plain alphabet (k = 0)")
     if len(aut.initial) != 1:
         raise MultipleInitial(f"need exactly one initial state, got {sorted(aut.initial)}")
-    deterministic = all(len(v) <= 1 for v in aut._out.values())
-    if not deterministic:
+    if not aut.is_deterministic():
         aut = aut.determinize().trim()
         if len(aut.initial) != 1:  # empty language after trimming
             aut = Nfa(aut.alphabet, 0, 1, frozenset({0}), frozenset(), frozenset())

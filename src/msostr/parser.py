@@ -24,7 +24,7 @@ import json
 import re
 
 from . import syntax as S
-from .automata import Nfa, TrackSymbol
+from .automata import Nfa, _encode
 from .errors import DanglingState, FormatError, FormulaSyntaxError, UnknownLetter
 from .syntax import Alphabet, Formula
 
@@ -464,7 +464,6 @@ def parse_automaton(text: str) -> Nfa:
         if not isinstance(doc[key], list) or any(
                 not isinstance(q, int) or not 0 <= q < n_states for q in doc[key]):
             raise FormatError(f"{key} must list states in range 0..{n_states - 1}")
-    transitions = set()
     for item in doc["transitions"]:
         if (not isinstance(item, list) or len(item) != 4
                 or not isinstance(item[0], int) or not isinstance(item[3], int)
@@ -477,9 +476,9 @@ def parse_automaton(text: str) -> Nfa:
             raise FormatError(f"transition letter {letter!r} not in alphabet")
         if len(bits) != tracks or any(b not in (0, 1) for b in bits):
             raise FormatError(f"transition bits {bits!r} must be {tracks} zeros/ones")
-        transitions.add((p, TrackSymbol(letter, tuple(bits)), q))
-    return Nfa(alphabet, tracks, n_states, frozenset(doc["initial"]),
-               frozenset(doc["accepting"]), frozenset(transitions))
+    return Nfa._make(alphabet, tracks, n_states, frozenset(doc["initial"]),
+                     frozenset(doc["accepting"]),
+                     _encode(alphabet, tracks, n_states, doc["transitions"]))
 
 
 def render_dot(aut: Nfa) -> str:

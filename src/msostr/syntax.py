@@ -556,6 +556,10 @@ def expand(phi: Formula, alphabet: Alphabet, *, keep_succ: bool = False) -> Form
                 y = fresh()
                 return Not(ExistsFO(y, rec(Gt(y, x))))
             # comparisons against variable-plus-constant and plain constants
+            case LessOffset(x, y, k) if k > 0:
+                # y + k may lie past the last position, where x < y + k holds
+                w = fresh()
+                return rec(Not(ExistsFO(w, And(PlusOffset(w, y, k), Leq(w, x)))))
             case LessOffset(x, y, k):
                 z = fresh()
                 return rec(ExistsFO(z, And(PlusOffset(z, y, k), Less(x, z))))

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from msostr import Nfa, TrackMismatch, compile_formula, parse_formula, sym
+from msostr import (Alphabet, Dfa, Nfa, TrackMismatch, compile_formula,
+                    parse_formula, sym)
 from msostr.automata import all_symbols, live_and_dead_states
 
 from corpus import (AB, conjunction_automaton_k2, factor_aa_automaton,
@@ -394,3 +395,134 @@ def test_star_free_decomposition_exactly_one_a():
     exactly_one = compile_formula(
         parse_formula("ex1 x. a(x) & !(ex1 y. a(y) & x != y)", AB), AB)
     assert decomposed.equivalent(exactly_one)
+
+
+# differential tests: every core operation against brute-force word
+# enumeration over the transition triples, on small random NFAs
+
+
+def _random_nfa(rng, alphabet, tracks):
+    n = rng.randint(1, 3)
+    symbols = all_symbols(alphabet, tracks)
+    return Nfa(alphabet, tracks, n,
+               frozenset(q for q in range(n) if rng.random() < 0.6),
+               frozenset(q for q in range(n) if rng.random() < 0.4),
+               frozenset((p, s, q) for p in range(n) for s in symbols
+                         for q in range(n) if rng.random() < 0.3))
+
+
+def _max_len(aut):
+    """Up to length 6, shorter over wider track alphabets."""
+    return {1: 6, 2: 6, 4: 4, 8: 3}[len(aut.symbols)]
+
+
+def _language(aut, max_len):
+    """Accepted words up to ``max_len``, by simulating the triples."""
+    step = {}
+    for p, s, q in aut.transitions:
+        step.setdefault((p, s), set()).add(q)
+    out = set()
+    level = [((), frozenset(aut.initial))]
+    for length in range(max_len + 1):
+        out |= {word for word, states in level if states & aut.accepting}
+        if length < max_len:
+            nxt = []
+            for word, states in level:
+                for s in aut.symbols:
+                    target = frozenset(q for p in states for q in step.get((p, s), ()))
+                    if target:
+                        nxt.append((word + (s,), target))
+            level = nxt
+    return out
+
+
+def _universe(aut, max_len):
+    return {w for n in range(max_len + 1) for w in itertools.product(aut.symbols, repeat=n)}
+
+
+def _shortlex(aut):
+    order = {s: i for i, s in enumerate(aut.symbols)}
+    return lambda word: (len(word), [order[s] for s in word])
+
+
+def _useful(aut):
+    """States reachable from an initial state and reaching an accepting one."""
+    edges = {(p, q) for p, _, q in aut.transitions}
+
+    def closure(start, edges):
+        seen = set(start)
+        while grown := {q for p, q in edges if p in seen} - seen:
+            seen |= grown
+        return seen
+
+    return closure(aut.initial, edges) & closure(aut.accepting, {(q, p) for p, q in edges})
+
+
+def _check_witness(got, words, aut, max_len):
+    """The engine's witness is the shortlex-least of ``words`` (the brute
+    force set up to ``max_len``), or lies past ``max_len`` if that is empty."""
+    expected = min(words, key=_shortlex(aut), default=None)
+    if expected is None:
+        assert got is None or len(got) > max_len
+    else:
+        assert got == expected
+
+
+def _check(operation, a, b):
+    max_len = _max_len(a)
+    la, lb = _language(a, max_len), _language(b, max_len)
+    if operation == "determinize":
+        det = a.determinize()
+        assert isinstance(det, Dfa) and det.is_deterministic() and det.is_complete()
+        assert _language(det, max_len) == la
+    elif operation in ("product_and", "product_or"):
+        combine = operation.split("_")[1]
+        got = _language(a.product(b, combine), max_len)
+        assert got == (la & lb if combine == "and" else la | lb)
+    elif operation == "complement":
+        assert _language(a.complement(), max_len) == _universe(a, max_len) - la
+    elif operation == "project":
+        for track in range(a.tracks):
+            dropped = {tuple(s.drop(track) for s in w) for w in la}
+            assert _language(a.project(track), max_len) == dropped
+    elif operation == "minimize":
+        minimal = a.determinize().minimize()
+        assert _language(minimal, max_len) == la
+        assert _all_pairs_distinguishable(minimal)
+        assert minimal.minimize() == minimal
+    elif operation == "trim":
+        trimmed = a.trim()
+        assert _language(trimmed, max_len) == la
+        if la:
+            assert _useful(trimmed) == set(range(trimmed.n_states))
+        else:
+            assert (trimmed.n_states, trimmed.accepting) == (1, frozenset())
+    elif operation == "shortest_word":
+        # an accepted word shorter than the state count exists if any does
+        assert a.shortest_word() == min(la, key=_shortlex(a), default=None)
+    elif operation == "counterexample":
+        _check_witness(a.counterexample(b), la ^ lb, a, max_len)
+    elif operation == "containment_counterexample":
+        _check_witness(a.containment_counterexample(b), la - lb, a, max_len)
+    elif operation == "enumerate_words":
+        words = sorted(la, key=_shortlex(a))
+        if a.tracks == 0:
+            words = ["".join(s.letter for s in w) for w in words]
+        assert a.enumerate_words(max_len) == words
+
+
+@pytest.mark.parametrize("operation", [
+    "determinize", "product_and", "product_or", "complement", "project",
+    "minimize", "trim", "shortest_word", "counterexample",
+    "containment_counterexample", "enumerate_words"])
+def test_operation_matches_brute_force(operation):
+    rng = random.Random(8117)
+    for trial in range(40):
+        alphabet = Alphabet(("a", "b")[:rng.randint(1, 2)])
+        tracks = rng.randint(0, 2)
+        a, b = _random_nfa(rng, alphabet, tracks), _random_nfa(rng, alphabet, tracks)
+        try:
+            _check(operation, a, b)
+        except AssertionError as exc:
+            raise AssertionError(f"trial {trial}: {a!r} {sorted(a.transitions)}, "
+                                 f"{b!r} {sorted(b.transitions)}") from exc

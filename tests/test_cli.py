@@ -1,6 +1,6 @@
 """Command-line behavior: verdict tokens, exit codes, determinism."""
 
-from msostr import parse_automaton, render_automaton
+from msostr import cli, parse_automaton, render_automaton
 from msostr.cli import main
 
 from corpus import SENTENCES, example_machine
@@ -168,3 +168,15 @@ def test_epsilon_enumerate_prints_marker(capsys):
                        "--epsilon")
     assert code == 0
     assert out.splitlines() == ["<epsilon>", "a", "aa"]
+
+
+def test_crash_exits_with_internal_error(capsys, monkeypatch):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_empty", crash)
+    code, out, err = run(capsys, "empty", "--alphabet", "a", "--formula", "ex1 x. a(x)")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == \
+        "INTERNAL_ERROR RecursionError: maximum recursion depth exceeded"

@@ -142,6 +142,22 @@ def test_oracle_equivalence(name):
             assert compiled.accepts(word) == evaluate(word, phi), (name, word)
 
 
+@pytest.mark.parametrize("text", [
+    "ex1 x. x < 4",
+    "ex1 x. ex1 y. first(y) & last(x) & x < y + 3",
+    "all1 x. all1 y. a(x) & b(y) -> x < y + 2",
+    "last < 3",
+])
+def test_offset_comparison_past_the_last_position(text):
+    """x < k, x < y + k and last < k hold when the position k or y + k
+    lies past the end of the word."""
+    phi = parse_formula(text, AB)
+    compiled = compile_formula(phi, AB)
+    for length in range(1, 7):
+        for word in words_over(AB, length):
+            assert compiled.accepts(word) == evaluate(word, phi), (text, word)
+
+
 def test_oracle_equivalence_include_epsilon():
     for name in ("starts_with_a", "even_length", "contradiction"):
         phi, alphabet = sentence(name)
