@@ -3,10 +3,10 @@ compiling formulas to finite automata and back, with a quantifier
 elimination pipeline for the one-letter first-order fragment."""
 
 from .automata import Dfa, Nfa, TrackSymbol, all_symbols, sym, word_str
-from .compiler import (CoreSO, TrackMap, atomic_automaton, compile_formula,
-                       compile_with_tracks, normalize)
-from .errors import (BadTrack, DanglingState, EmptyWordRejected, FormatError,
-                     FormulaSyntaxError, MsoError, MultipleInitial,
+from .compiler import (TrackMap, atomic_automaton, compile_formula,
+                       compile_with_tracks)
+from .errors import (BadAlphabet, BadTrack, DanglingState, EmptyWordRejected,
+                     FormatError, FormulaSyntaxError, MsoError, MultipleInitial,
                      NonUnaryAlphabet, OpenFormula, SecondOrderPresent,
                      TrackMismatch, UnboundVariable, UnknownLetter,
                      UnmappedVariable, VariableKindMismatch)
@@ -17,6 +17,6 @@ from .qe import (QfAnd, QfOr, UnaryLanguageClass, classify, finite_sentence,
                  neg_qf, qf_evaluate, render_qf, to_qfmfo)
 from .semantics import Assignment, EpsilonMode, evaluate, language_sample
 from .syntax import (Alphabet, Formula, FreeVars, expand, free_vars,
-                     is_core, is_sentence)
+                     free_vars_in_order, is_core, is_sentence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

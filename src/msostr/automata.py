@@ -95,14 +95,18 @@ def _bfs(starts, successors) -> list[int]:
 
 
 def _encode(alphabet: Alphabet, tracks: int, n_states: int, items):
-    """Successor sets from checked (state, letter, bits, state) items."""
-    rows = [[set() for _ in range(len(alphabet) << tracks)] for _ in range(n_states)]
+    """Successor tuples from checked (state, letter, bits, state) items;
+    the cells without a transition share one empty tuple."""
+    cells: dict[tuple[int, int], set[int]] = {}
     for p, letter, bits, q in items:
         code = alphabet.index(letter)
         for b in bits:
             code = code << 1 | b
-        rows[p][code].add(q)
-    return tuple(tuple(tuple(sorted(t)) for t in row) for row in rows)
+        cells.setdefault((p, code), set()).add(q)
+    rows = [[()] * (len(alphabet) << tracks) for _ in range(n_states)]
+    for (p, code), targets in cells.items():
+        rows[p][code] = tuple(sorted(targets))
+    return tuple(map(tuple, rows))
 
 
 def _checked(alphabet, tracks, n_states, initial, accepting, transitions):

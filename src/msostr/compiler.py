@@ -1,16 +1,17 @@
 """Translation from formulas to automata.
 
-Formulas are first rewritten into a second-order-only core whose atoms
-are letter-set containment, set containment, adjacency and order of
-singleton sets, and singleton-ness.  Each atom maps to a fixed small
-automaton over the track alphabet; connectives map to product, complement
-and union; each set quantifier projects away one track.  Intermediate
-results are determinized and minimized after every step.
-
-Position variables are represented by set variables constrained to be
-singletons; a position quantifier becomes a set quantifier conjoined with
-that constraint.  Free position variables of open formulas receive the
-same constraint at the top level.
+A formula is first expanded into the syntax core with successor kept
+primitive (``syntax.expand(..., keep_succ=True)``): letter, membership,
+successor and order atoms, negation, disjunction and the two
+existentials.  The compiler is one induction over that core.  Every
+variable has a track; a position is a track that holds exactly one 1.
+Each atom maps to a fixed small automaton over the track alphabet,
+negation to complement, disjunction to product, and a set quantifier to
+the projection of its track.  A position quantifier first conjoins the
+singleton automaton of its track, then projects it; free position
+variables of open formulas get the same singleton conjunction at the top
+level.  Intermediate results are determinized and minimized after every
+step.
 """
 
 from __future__ import annotations
@@ -21,84 +22,16 @@ from typing import Sequence, Union
 from . import syntax as S
 from .automata import Dfa, Nfa
 from .errors import UnknownLetter, UnmappedVariable
-from .semantics import Assignment, EpsilonMode, evaluate
-from .syntax import Alphabet, Formula, expand, free_vars
-
-
-def _so_node(cls):
-    return dataclass(frozen=True)(cls)
-
-
-class CoreSO:
-    """Base class of the second-order-only core."""
-
-    __slots__ = ()
-
-
-@_so_node
-class SubsetW(CoreSO):
-    """Every position in the set carries the given letter."""
-
-    set_var: str
-    letter: str
-
-
-@_so_node
-class SubsetSO(CoreSO):
-    left: str
-    right: str
-
-
-@_so_node
-class SuccSO(CoreSO):
-    """Both sets are singletons and the right one immediately follows."""
-
-    left: str
-    right: str
-
-
-@_so_node
-class LessSO(CoreSO):
-    """Both sets are singletons and the left one is strictly earlier."""
-
-    left: str
-    right: str
-
-
-@_so_node
-class SingSO(CoreSO):
-    """The set holds exactly one position."""
-
-    set_var: str
-
-
-@_so_node
-class NotSO(CoreSO):
-    body: CoreSO
-
-
-@_so_node
-class OrSO(CoreSO):
-    left: CoreSO
-    right: CoreSO
-
-
-@_so_node
-class AndSO(CoreSO):
-    left: CoreSO
-    right: CoreSO
-
-
-@_so_node
-class ExistsSOCore(CoreSO):
-    set_var: str
-    body: CoreSO
+from .semantics import EpsilonMode, evaluate
+from .syntax import Alphabet, Formula, expand, free_vars_in_order
 
 
 @dataclass(frozen=True)
 class TrackMap:
-    """Free set variables in track order (first occurrence in the
-    normalized formula)."""
+    """Free variables in track order: the free position variables by first
+    occurrence in the formula as written, then the free set variables by
+    first occurrence in its expansion (which may swap position operands,
+    as for ``<=``, hence the two sources)."""
 
     variables: tuple[str, ...]
 
@@ -117,118 +50,6 @@ class TrackMap:
 
     def __iter__(self):
         return iter(self.variables)
-
-
-def _ordered_free_fo(phi: Formula) -> tuple[str, ...]:
-    """Free position variables in order of first occurrence."""
-    free = free_vars(phi).fo
-    seen: list[str] = []
-
-    def note(x: str, bound: frozenset):
-        if x in free and x not in bound and x not in seen:
-            seen.append(x)
-
-    def walk(f: Formula, bound: frozenset):
-        match f:
-            case S.Letter(_, x) | S.First(x) | S.Last(x) | S.EqConst(x, _) \
-                    | S.LessConst(x, _) | S.GreaterConst(x, _):
-                note(x, bound)
-            case S.Less(x, y) | S.Eq(x, y) | S.Neq(x, y) | S.Leq(x, y) | S.Geq(x, y) \
-                    | S.Gt(x, y) | S.Succ(x, y) | S.PlusOffset(x, y, _) \
-                    | S.MinusOffset(x, y, _) | S.LessOffset(x, y, _) \
-                    | S.GreaterOffset(x, y, _):
-                note(x, bound)
-                note(y, bound)
-            case S.SetMember(_, x):
-                note(x, bound)
-            case S.Not(b):
-                walk(b, bound)
-            case S.Or(a, b) | S.And(a, b) | S.Implies(a, b) | S.Iff(a, b):
-                walk(a, bound)
-                walk(b, bound)
-            case S.ExistsFO(x, b) | S.ForallFO(x, b):
-                walk(b, bound | {x})
-            case S.ExistsSO(_, b) | S.ForallSO(_, b):
-                walk(b, bound)
-            case _:
-                pass
-
-    walk(phi, frozenset())
-    return tuple(seen)
-
-
-def normalize(phi: Formula, alphabet: Alphabet) -> CoreSO:
-    """Rewrite any well-formed formula into the second-order-only core.
-
-    Position quantifiers become set quantifiers over fresh singleton sets;
-    letter atoms become letter-set containment; membership becomes
-    containment of the singleton.  Free position variables are constrained
-    to singletons at the top level.
-    """
-    core = expand(phi, alphabet, keep_succ=True)
-    free_fo = _ordered_free_fo(phi)
-    fo_map = {x: x for x in free_fo}
-
-    def rec(f: Formula, env: dict[str, str]) -> CoreSO:
-        match f:
-            case S.Letter(a, x):
-                return SubsetW(_resolve(env, x), a)
-            case S.Less(x, y):
-                return LessSO(_resolve(env, x), _resolve(env, y))
-            case S.Succ(x, y):
-                return SuccSO(_resolve(env, x), _resolve(env, y))
-            case S.SetMember(X, x):
-                return SubsetSO(_resolve(env, x), X)
-            case S.Not(b):
-                return NotSO(rec(b, env))
-            case S.Or(a, b):
-                return OrSO(rec(a, env), rec(b, env))
-            case S.ExistsFO(x, b):
-                inner = {**env, x: x}
-                return ExistsSOCore(x, AndSO(SingSO(x), rec(b, inner)))
-            case S.ExistsSO(X, b):
-                return ExistsSOCore(X, rec(b, env))
-            case _:
-                raise TypeError(f"unexpected node after expansion: {f!r}")
-
-    body = rec(core, fo_map)
-    for x in reversed(free_fo):
-        body = AndSO(SingSO(x), body)
-    return body
-
-
-def _resolve(env: dict[str, str], x: str) -> str:
-    try:
-        return env[x]
-    except KeyError:
-        raise UnmappedVariable(f"position variable {x!r} has no set") from None
-
-
-def so_free_ordered(core: CoreSO) -> tuple[str, ...]:
-    """Free set variables of a core formula, first-occurrence order."""
-    seen: list[str] = []
-
-    def walk(f: CoreSO, bound: frozenset):
-        match f:
-            case SubsetW(X, _) | SingSO(X):
-                if X not in bound and X not in seen:
-                    seen.append(X)
-            case SubsetSO(X, Y) | SuccSO(X, Y) | LessSO(X, Y):
-                for v in (X, Y):
-                    if v not in bound and v not in seen:
-                        seen.append(v)
-            case NotSO(b):
-                walk(b, bound)
-            case OrSO(a, b) | AndSO(a, b):
-                walk(a, bound)
-                walk(b, bound)
-            case ExistsSOCore(X, b):
-                walk(b, bound | {X})
-            case _:
-                raise TypeError(f"unknown core node {f!r}")
-
-    walk(core, frozenset())
-    return tuple(seen)
 
 
 # -- atomic automata ------------------------------------------------------
@@ -287,7 +108,7 @@ def _aut_less(i: int, j: int, alphabet: Alphabet, tracks: int) -> Nfa:
                   (1, 1): ()}, _bit(tracks, i), _bit(tracks, j))
 
 
-Atom = Union[SubsetW, SubsetSO, SuccSO, LessSO, SingSO]
+Atom = Union[S.Letter, S.SetMember, S.Succ, S.Less]
 
 
 def atomic_automaton(atom: Atom, tm: TrackMap | Sequence[str],
@@ -303,65 +124,62 @@ def atomic_automaton(atom: Atom, tm: TrackMap | Sequence[str],
         raise UnmappedVariable(f"variable {var!r} has no track")
 
     match atom:
-        case SubsetW(X, a):
+        case S.Letter(a, x):
             if a not in alphabet:
                 raise UnknownLetter(f"letter {a!r} not in alphabet {alphabet.symbols}")
-            return _aut_subset_w(idx(X), a, alphabet, tracks)
-        case SubsetSO(X, Y):
-            return _aut_subset(idx(X), idx(Y), alphabet, tracks)
-        case SuccSO(X, Y):
-            return _aut_succ(idx(X), idx(Y), alphabet, tracks)
-        case LessSO(X, Y):
-            return _aut_less(idx(X), idx(Y), alphabet, tracks)
-        case SingSO(X):
-            return _aut_sing(idx(X), alphabet, tracks)
+            return _aut_subset_w(idx(x), a, alphabet, tracks)
+        case S.SetMember(X, x):
+            return _aut_subset(idx(x), idx(X), alphabet, tracks)
+        case S.Succ(x, y):
+            return _aut_succ(idx(x), idx(y), alphabet, tracks)
+        case S.Less(x, y):
+            return _aut_less(idx(x), idx(y), alphabet, tracks)
         case _:
             raise TypeError(f"not an atomic core formula: {atom!r}")
 
 
 # -- inductive construction ------------------------------------------------
 
-def _build(core: CoreSO, tracks: tuple[str, ...], alphabet: Alphabet) -> Dfa:
-    match core:
-        case SubsetW() | SubsetSO() | SuccSO() | LessSO() | SingSO():
-            aut = atomic_automaton(core, tracks, alphabet)
-            return aut.determinize().minimize()
-        case NotSO(b):
+def _singleton(i: int, body: Dfa) -> Dfa:
+    """``body`` conjoined with: track ``i`` holds exactly one position."""
+    sing = _aut_sing(i, body.alphabet, body.tracks).determinize().minimize()
+    return sing.product(body, "and").determinize().minimize()
+
+
+def _build(f: Formula, tracks: tuple[str, ...], alphabet: Alphabet) -> Dfa:
+    match f:
+        case S.Letter() | S.SetMember() | S.Succ() | S.Less():
+            return atomic_automaton(f, tracks, alphabet).determinize().minimize()
+        case S.Not(b):
             return _build(b, tracks, alphabet).complement().minimize()
-        case OrSO(a, b):
+        case S.Or(a, b):
             left = _build(a, tracks, alphabet)
             right = _build(b, tracks, alphabet)
             return left.product(right, "or").determinize().minimize()
-        case AndSO(a, b):
-            left = _build(a, tracks, alphabet)
-            right = _build(b, tracks, alphabet)
-            return left.product(right, "and").determinize().minimize()
-        case ExistsSOCore(X, b):
+        case S.ExistsFO(x, b):
+            inner = _singleton(len(tracks), _build(b, tracks + (x,), alphabet))
+            return inner.project(len(tracks)).determinize().minimize()
+        case S.ExistsSO(X, b):
             inner = _build(b, tracks + (X,), alphabet)
             return inner.project(len(tracks)).determinize().minimize()
         case _:
-            raise TypeError(f"unknown core node {core!r}")
-
-
-def _epsilon_membership(phi: Formula, fv) -> bool:
-    """Whether the final automaton should accept the empty word under the
-    INCLUDE semantics: open position variables force rejection (their
-    singleton constraint is unsatisfiable), otherwise the variant
-    semantics on the empty word decides, with free sets necessarily empty."""
-    if fv.fo:
-        return False
-    assignment = Assignment(nu2={X: frozenset() for X in fv.so})
-    return evaluate("", phi, assignment, EpsilonMode.INCLUDE)
+            raise TypeError(f"unexpected node after expansion: {f!r}")
 
 
 def compile_with_tracks(phi: Formula, alphabet: Alphabet,
                         mode: EpsilonMode = EpsilonMode.EXCLUDE) -> tuple[Dfa, TrackMap]:
     """Compile a formula to a minimal DFA plus its free-variable tracks."""
-    core = normalize(phi, alphabet)
-    order = so_free_ordered(core)
+    core = expand(phi, alphabet, keep_succ=True)
+    free_fo = free_vars_in_order(phi)[0]
+    order = free_fo + free_vars_in_order(core)[1]
     aut = _build(core, order, alphabet)
-    fv = free_vars(phi)
-    want_epsilon = False if mode is EpsilonMode.EXCLUDE else _epsilon_membership(phi, fv)
+    for i in reversed(range(len(free_fo))):  # the innermost conjunct first
+        aut = _singleton(i, aut)
+    # Under INCLUDE the empty word is accepted when the variant semantics
+    # holds there; free sets are then empty, and a free position variable
+    # has nowhere to sit, so its singleton constraint rejects.
+    want_epsilon = (mode is EpsilonMode.INCLUDE and not free_fo
+                    and evaluate("", phi, None, EpsilonMode.INCLUDE))
     fixed = aut.with_epsilon(want_epsilon)
     return fixed.determinize().minimize(), TrackMap(order)
 

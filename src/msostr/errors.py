@@ -5,6 +5,10 @@ class MsoError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class BadAlphabet(MsoError, ValueError):
+    """An alphabet is empty, repeats a letter or has a malformed letter."""
+
+
 class UnknownLetter(MsoError):
     """A letter predicate refers to a symbol outside the declared alphabet."""
 

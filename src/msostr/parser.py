@@ -439,6 +439,12 @@ def render_automaton(aut: Nfa) -> str:
     return json.dumps(doc, indent=2)
 
 
+# The core holds one successor cell per state and symbol, and a symbol is a
+# letter with one bit per track; larger documents are refused before any
+# cell is allocated.
+MAX_TABLE_CELLS = 1 << 20
+
+
 def parse_automaton(text: str) -> Nfa:
     """Parse the JSON exchange format back into an automaton."""
     try:
@@ -460,6 +466,11 @@ def parse_automaton(text: str) -> Nfa:
         raise FormatError("tracks must be a non-negative integer")
     if not isinstance(n_states, int) or n_states < 1:
         raise FormatError("states must be a positive integer")
+    width = n_states * len(alphabet)
+    if tracks >= MAX_TABLE_CELLS.bit_length() or width << tracks > MAX_TABLE_CELLS:
+        raise FormatError(f"transition table of {n_states} states x {len(alphabet)} "
+                          f"letters x 2^{tracks} track patterns exceeds "
+                          f"{MAX_TABLE_CELLS} cells")
     for key in ("initial", "accepting"):
         if not isinstance(doc[key], list) or any(
                 not isinstance(q, int) or not 0 <= q < n_states for q in doc[key]):

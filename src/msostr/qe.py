@@ -273,19 +273,11 @@ def _check_first_order_unary(phi: Formula, alphabet: Alphabet) -> None:
     check_well_formed(phi, alphabet)
 
     def walk(f: Formula):
-        match f:
-            case S.SetMember() | S.Subset() | S.SetEq() | S.SetNeq() \
-                    | S.ExistsSO() | S.ForallSO():
-                raise SecondOrderPresent(f"second-order construct {f!r}")
-            case S.Not(b):
-                walk(b)
-            case S.Or(a, b) | S.And(a, b) | S.Implies(a, b) | S.Iff(a, b):
-                walk(a)
-                walk(b)
-            case S.ExistsFO(_, b) | S.ForallFO(_, b):
-                walk(b)
-            case _:
-                pass
+        _, sets, subs = S._parts(f)
+        if sets:
+            raise SecondOrderPresent(f"second-order construct {f!r}")
+        for g in subs:
+            walk(g)
 
     walk(phi)
 
@@ -628,16 +620,7 @@ def render_class(c: UnaryLanguageClass) -> str:
 def qf_to_formula(f: QfFormula) -> Formula:
     """Rebuild a surface formula from a quantifier-free one (for
     cross-checking against the direct interpreter)."""
-    taken = qf_free_vars(f)
-    top = -1
-    for name in taken:
-        if name.startswith("_v") and name[2:].isdigit():
-            top = max(top, int(name[2:]))
-    counter = [top]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"_v{counter[0]}"
+    fresh = S._Fresh(qf_free_vars(f))
 
     def rec(g: QfFormula) -> Formula:
         match g:

@@ -2,7 +2,9 @@
 
 Defines the alphabet, the formula AST (a seven-node core plus sugared
 abbreviations), expansion of abbreviations down to the core, free-variable
-computation and well-formedness checks.
+computation and well-formedness checks.  Which variables a node names,
+binds and contains is decided in one table (``_parts``) that every
+structural walk reads.
 
 Position variables are written in lowercase, set variables in uppercase;
 the two namespaces must be disjoint.  Formulas are immutable values.
@@ -12,8 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import UnknownLetter, VariableKindMismatch
+from .errors import BadAlphabet, UnknownLetter, VariableKindMismatch
 
 FRESH_PREFIX = "_v"
 _FRESH_RE = re.compile(r"^_v(\d+)$")
@@ -27,12 +30,12 @@ class Alphabet:
 
     def __post_init__(self):
         if not self.symbols:
-            raise ValueError("alphabet must be non-empty")
+            raise BadAlphabet("alphabet must be non-empty")
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"duplicate symbols in alphabet {self.symbols}")
+            raise BadAlphabet(f"duplicate symbols in alphabet {self.symbols}")
         for s in self.symbols:
             if not s or not s[0].islower() or not s.isidentifier():
-                raise ValueError(f"letter {s!r} is not a lowercase identifier")
+                raise BadAlphabet(f"letter {s!r} is not a lowercase identifier")
 
     @classmethod
     def from_csv(cls, text: str) -> "Alphabet":
@@ -303,48 +306,68 @@ class FreeVars:
         return bool(self.fo or self.so)
 
 
-def free_vars(phi: Formula) -> FreeVars:
-    """Free variables of ``phi``; quantifiers bind, inner bindings shadow."""
-    fo: set[str] = set()
-    so: set[str] = set()
+# --- what each node names and contains --------------------------------------
+#
+# The one table of which variables a node mentions: per node kind, its
+# position names, set names and subformulas.  A node with subformulas
+# names only the variable it binds in them (a quantifier's), so every walk
+# that asks which names occur, are bound or are free reads this table.
+
+_PARTS = {
+    **dict.fromkeys((Letter, First, Last, EqConst, LessConst, GreaterConst),
+                    lambda f: ((f.var,), (), ())),
+    **dict.fromkeys((Less, Eq, Neq, Leq, Geq, Gt, Succ, PlusOffset, MinusOffset,
+                     LessOffset, GreaterOffset), lambda f: ((f.left, f.right), (), ())),
+    SetMember: lambda f: ((f.var,), (f.set_var,), ()),
+    **dict.fromkeys((Subset, SetEq, SetNeq), lambda f: ((), (f.left, f.right), ())),
+    Not: lambda f: ((), (), (f.body,)),
+    **dict.fromkeys((Or, And, Implies, Iff), lambda f: ((), (), (f.left, f.right))),
+    **dict.fromkeys((ExistsFO, ForallFO), lambda f: ((f.var,), (), (f.body,))),
+    **dict.fromkeys((ExistsSO, ForallSO), lambda f: ((), (f.set_var,), (f.body,))),
+    **dict.fromkeys((TrueAtom, FalseAtom, ConstLessLast, ConstGreaterLast),
+                    lambda f: ((), (), ())),
+}
+
+
+def _parts(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Formula, ...]]:
+    """(position names, set names, subformulas) of one node."""
+    try:
+        parts = _PARTS[type(f)]
+    except KeyError:
+        raise TypeError(f"unknown formula node {f!r}") from None
+    return parts(f)
+
+
+def free_vars_in_order(phi: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Free position and free set variables of ``phi``, each in order of
+    first occurrence from the left; quantifiers bind, inner bindings shadow."""
+    fo: dict[str, None] = {}
+    so: dict[str, None] = {}
 
     def walk(f: Formula, bound1: frozenset[str], bound2: frozenset[str]):
-        match f:
-            case Letter(_, x) | First(x) | Last(x) | EqConst(x, _) \
-                    | LessConst(x, _) | GreaterConst(x, _):
-                if x not in bound1:
-                    fo.add(x)
-            case Less(x, y) | Eq(x, y) | Neq(x, y) | Leq(x, y) | Geq(x, y) \
-                    | Gt(x, y) | Succ(x, y) | PlusOffset(x, y, _) \
-                    | MinusOffset(x, y, _) | LessOffset(x, y, _) \
-                    | GreaterOffset(x, y, _):
-                for v in (x, y):
-                    if v not in bound1:
-                        fo.add(v)
-            case SetMember(X, x):
-                if x not in bound1:
-                    fo.add(x)
-                if X not in bound2:
-                    so.add(X)
-            case Subset(X, Y) | SetEq(X, Y) | SetNeq(X, Y):
-                for V in (X, Y):
-                    if V not in bound2:
-                        so.add(V)
-            case Not(b):
-                walk(b, bound1, bound2)
-            case Or(a, b) | And(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a, bound1, bound2)
-                walk(b, bound1, bound2)
-            case ExistsFO(x, b) | ForallFO(x, b):
-                walk(b, bound1 | {x}, bound2)
-            case ExistsSO(X, b) | ForallSO(X, b):
-                walk(b, bound1, bound2 | {X})
-            case TrueAtom() | FalseAtom() | ConstLessLast(_) | ConstGreaterLast(_):
-                pass
-            case _:
-                raise TypeError(f"unknown formula node {f!r}")
+        names1, names2, subs = _parts(f)
+        if subs:
+            if names1:
+                bound1 = bound1.union(names1)
+            if names2:
+                bound2 = bound2.union(names2)
+            for g in subs:
+                walk(g, bound1, bound2)
+            return
+        for x in names1:
+            if x not in bound1:
+                fo[x] = None
+        for X in names2:
+            if X not in bound2:
+                so[X] = None
 
     walk(phi, frozenset(), frozenset())
+    return tuple(fo), tuple(so)
+
+
+def free_vars(phi: Formula) -> FreeVars:
+    """Free variables of ``phi``; quantifiers bind, inner bindings shadow."""
+    fo, so = free_vars_in_order(phi)
     return FreeVars(frozenset(fo), frozenset(so))
 
 
@@ -355,103 +378,39 @@ def is_sentence(phi: Formula) -> bool:
 
 def is_core(phi: Formula) -> bool:
     """True iff only the seven core kinds occur in ``phi``."""
-    match phi:
-        case Letter() | Less() | SetMember():
-            return True
-        case Not(b) | ExistsFO(_, b) | ExistsSO(_, b):
-            return is_core(b)
-        case Or(a, b):
-            return is_core(a) and is_core(b)
-        case _:
-            return False
+    return type(phi) in CORE_KINDS and all(map(is_core, _parts(phi)[2]))
 
 
-def check_well_formed(phi: Formula, alphabet: Alphabet) -> None:
-    """Raise UnknownLetter / VariableKindMismatch on ill-formed input."""
+def check_well_formed(phi: Formula, alphabet: Alphabet) -> set[str]:
+    """Raise UnknownLetter / VariableKindMismatch on ill-formed input;
+    otherwise return every variable name in ``phi``, bound or free."""
     fo_names: set[str] = set()
     so_names: set[str] = set()
 
     def walk(f: Formula):
-        match f:
-            case Letter(a, x):
-                if a not in alphabet:
-                    raise UnknownLetter(f"letter {a!r} not in alphabet {alphabet.symbols}")
-                fo_names.add(x)
-            case First(x) | Last(x) | EqConst(x, _) | LessConst(x, _) | GreaterConst(x, _):
-                fo_names.add(x)
-            case Less(x, y) | Eq(x, y) | Neq(x, y) | Leq(x, y) | Geq(x, y) | Gt(x, y) \
-                    | Succ(x, y) | PlusOffset(x, y, _) | MinusOffset(x, y, _) \
-                    | LessOffset(x, y, _) | GreaterOffset(x, y, _):
-                fo_names.update((x, y))
-            case SetMember(X, x):
-                fo_names.add(x)
-                so_names.add(X)
-            case Subset(X, Y) | SetEq(X, Y) | SetNeq(X, Y):
-                so_names.update((X, Y))
-            case Not(b):
-                walk(b)
-            case Or(a, b) | And(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case ExistsFO(x, b) | ForallFO(x, b):
-                fo_names.add(x)
-                walk(b)
-            case ExistsSO(X, b) | ForallSO(X, b):
-                so_names.add(X)
-                walk(b)
-            case TrueAtom() | FalseAtom() | ConstLessLast(_) | ConstGreaterLast(_):
-                pass
-            case _:
-                raise TypeError(f"unknown formula node {f!r}")
+        if type(f) is Letter and f.letter not in alphabet:
+            raise UnknownLetter(f"letter {f.letter!r} not in alphabet {alphabet.symbols}")
+        names1, names2, subs = _parts(f)
+        fo_names.update(names1)
+        so_names.update(names2)
+        for g in subs:
+            walk(g)
 
     walk(phi)
     clash = fo_names & so_names
     if clash:
         raise VariableKindMismatch(
             f"names used both as position and set variables: {sorted(clash)}")
-
-
-def _all_var_names(phi: Formula) -> set[str]:
-    names: set[str] = set()
-
-    def walk(f: Formula):
-        match f:
-            case Letter(_, x) | First(x) | Last(x) | EqConst(x, _) \
-                    | LessConst(x, _) | GreaterConst(x, _):
-                names.add(x)
-            case Less(x, y) | Eq(x, y) | Neq(x, y) | Leq(x, y) | Geq(x, y) | Gt(x, y) \
-                    | Succ(x, y) | PlusOffset(x, y, _) | MinusOffset(x, y, _) \
-                    | LessOffset(x, y, _) | GreaterOffset(x, y, _):
-                names.update((x, y))
-            case SetMember(X, x):
-                names.update((X, x))
-            case Subset(X, Y) | SetEq(X, Y) | SetNeq(X, Y):
-                names.update((X, Y))
-            case Not(b):
-                walk(b)
-            case Or(a, b) | And(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case ExistsFO(x, b) | ForallFO(x, b):
-                names.add(x)
-                walk(b)
-            case ExistsSO(X, b) | ForallSO(X, b):
-                names.add(X)
-                walk(b)
-            case _:
-                pass
-
-    walk(phi)
-    return names
+    return fo_names | so_names
 
 
 class _Fresh:
     """Generates variable names with a reserved prefix, never colliding with
-    names already present (the parser cannot produce the reserved prefix)."""
+    the names already in use (the parser cannot produce the reserved prefix)."""
 
-    def __init__(self, phi: Formula):
+    def __init__(self, taken: Iterable[str]):
         top = -1
-        for name in _all_var_names(phi):
+        for name in taken:
             m = _FRESH_RE.match(name)
             if m:
                 top = max(top, int(m.group(1)))
@@ -470,8 +429,7 @@ def expand(phi: Formula, alphabet: Alphabet, *, keep_succ: bool = False) -> Form
     negations introduced by them are kept).  With ``keep_succ`` the
     successor atom stays primitive; the automaton compiler relies on this.
     """
-    check_well_formed(phi, alphabet)
-    fresh = _Fresh(phi)
+    fresh = _Fresh(check_well_formed(phi, alphabet))
     first_letter = alphabet.symbols[0]
 
     def rec(f: Formula) -> Formula:

@@ -1,5 +1,7 @@
 """Command-line behavior: verdict tokens, exit codes, determinism."""
 
+import pytest
+
 from msostr import cli, parse_automaton, render_automaton
 from msostr.cli import main
 
@@ -140,6 +142,26 @@ def test_usage_error_exit_code(capsys):
                          "--formula", "a(x", "--word", "ab")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("alphabet", ["", "A,b", "a,a"])
+def test_bad_alphabet_is_an_input_error(capsys, alphabet):
+    code, out, err = run(capsys, "check", "--alphabet", alphabet,
+                         "--formula", "ex1 x. a(x)", "--word", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_oversized_automaton_document_is_an_input_error(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"alphabet": ["a"], "tracks": 64, "states": 1, "initial": [0],'
+                    ' "accepting": [], "transitions": []}')
+    code, out, err = run(capsys, "equiv", "--alphabet", "a",
+                         "--f1", str(huge), "--f2", str(huge))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "2^64" in err
 
 
 def test_output_determinism(capsys):

@@ -1,17 +1,15 @@
-"""Formula-to-automaton translation: the second-order core, the atomic
-automata, and agreement with the direct interpreter."""
+"""Formula-to-automaton translation: the atomic automata, open formulas
+and their tracks, and agreement with the direct interpreter."""
 
 import itertools
 
 import pytest
 
 from msostr import (Assignment, EpsilonMode, compile_formula,
-                    compile_with_tracks, evaluate, normalize, parse_formula,
-                    sym)
+                    compile_with_tracks, evaluate, parse_formula, sym)
 from msostr import syntax as S
 from msostr.automata import live_and_dead_states
-from msostr.compiler import (AndSO, ExistsSOCore, LessSO, SingSO, SubsetSO,
-                             SubsetW, SuccSO, TrackMap, atomic_automaton)
+from msostr.compiler import TrackMap, _aut_sing, atomic_automaton
 from msostr.semantics import words_over
 
 from corpus import (AB, SENTENCES, factor_aa_automaton, sentence,
@@ -19,23 +17,8 @@ from corpus import (AB, SENTENCES, factor_aa_automaton, sentence,
                     subset_w_a_automaton_k2, succ_automaton_k2)
 
 
-def test_normalize_contains_aa():
-    phi, alphabet = sentence("contains_aa")
-    core = normalize(phi, alphabet)
-    # outer quantifier introduces the singleton constraint for x
-    assert isinstance(core, ExistsSOCore)
-    assert core.set_var == "x"
-    assert isinstance(core.body, AndSO)
-    assert core.body.left == SingSO("x")
-    flat = repr(core)
-    assert flat.count("SingSO") == 2
-    assert "SuccSO(left='x', right='y')" in flat
-    assert flat.count("SubsetW") == 2
-
-
 def test_normalize_core_input_unchanged_in_meaning():
     phi = parse_formula("X sub Y", AB)
-    core = normalize(phi, AB)
     # the containment abbreviation goes through its definition:
     # no position may sit in X without sitting in Y
     left = compile_formula(phi, AB)
@@ -45,54 +28,38 @@ def test_normalize_core_input_unchanged_in_meaning():
     assert left.equivalent(hand.with_epsilon(False))
 
 
-def test_normalize_letter_under_quantifier():
-    phi = parse_formula("ex1 x. a(x)", AB)
-    core = normalize(phi, AB)
-    assert core == ExistsSOCore("x", AndSO(SingSO("x"), SubsetW("x", "a")))
-
-
-def test_body_of_quantified_core_has_two_free_sets():
-    """Stripping the outer set quantifiers of the normalized factor
-    sentence leaves exactly the two singleton-encoded variables free."""
-    from msostr.compiler import so_free_ordered
-    phi, alphabet = sentence("contains_aa")
-    core = normalize(phi, alphabet)
-    body = core.body  # under ex2 x
-    inner = body.right.body  # under ex2 y, past Sing(x)
-    assert so_free_ordered(core) == ()
-    assert so_free_ordered(inner) == ("y", "x") or so_free_ordered(inner) == ("x", "y")
-    assert set(so_free_ordered(inner)) == {"x", "y"}
-
+# The atoms read their variables as tracks, whatever their kind: X sub Y
+# is the membership atom "X in Y" read on a set track X.
 
 def test_atomic_subset_matches_figure():
-    aut = atomic_automaton(SubsetSO("X", "Y"), TrackMap(("X", "Y")), AB)
+    aut = atomic_automaton(S.SetMember("Y", "X"), TrackMap(("X", "Y")), AB)
     assert aut.equivalent(subset_automaton_k2())
     assert aut.n_states == 1
 
 
 def test_atomic_subset_w_matches_figure():
-    aut = atomic_automaton(SubsetW("X", "a"), TrackMap(("X", "Y")), AB)
+    aut = atomic_automaton(S.Letter("a", "X"), TrackMap(("X", "Y")), AB)
     assert aut.equivalent(subset_w_a_automaton_k2())
     assert aut.n_states == 1
 
 
 def test_atomic_succ_matches_figure():
-    aut = atomic_automaton(SuccSO("X", "Y"), TrackMap(("X", "Y")), AB)
+    aut = atomic_automaton(S.Succ("X", "Y"), TrackMap(("X", "Y")), AB)
     assert aut.equivalent(succ_automaton_k2())
     assert aut.n_states == 3
     assert sorted(aut.initial) == [0] and sorted(aut.accepting) == [2]
 
 
 def test_atomic_sing_matches_figure():
-    for track, name in ((0, "X"), (1, "Y")):
-        aut = atomic_automaton(SingSO(name), TrackMap(("X", "Y")), AB)
+    for track in (0, 1):
+        aut = _aut_sing(track, AB, 2)
         assert aut.equivalent(sing_automaton_k2(track))
 
 
 def test_sing_direct_equals_expanded_definition():
     """The two-state singleton automaton agrees with compiling the
     definitional form: a proper subset exists and no third subset does."""
-    direct = atomic_automaton(SingSO("X"), TrackMap(("X",)), AB)
+    direct = _aut_sing(0, AB, 1)
     definition = parse_formula(
         "ex2 Y. Y sub X & Y != X & !(ex2 Z. Z sub X & Z != Y & Z != X)", AB)
     compiled = compile_formula(definition, AB)
@@ -100,7 +67,7 @@ def test_sing_direct_equals_expanded_definition():
 
 
 def test_atomic_less_validated_against_interpreter():
-    aut = atomic_automaton(LessSO("X", "Y"), TrackMap(("X", "Y")), AB)
+    aut = atomic_automaton(S.Less("x", "y"), TrackMap(("x", "y")), AB)
     phi = parse_formula("x < y", AB)
     for length in range(1, 5):
         for letters in itertools.product("ab", repeat=length):

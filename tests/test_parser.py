@@ -1,5 +1,7 @@
 """Formula text round-trips, parse errors, and the automaton exchange format."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from msostr import (DanglingState, FormatError, FormulaSyntaxError,
                     UnknownLetter, parse_automaton, parse_formula,
                     render_automaton, render_dot, render_formula)
 from msostr import syntax as S
+from msostr.parser import MAX_TABLE_CELLS
 
 from corpus import AB, SENTENCES, factor_aa_automaton, sentence, succ_automaton_k2
 
@@ -152,6 +155,24 @@ def test_dangling_state_detected():
 def test_format_errors(text):
     with pytest.raises(FormatError):
         parse_automaton(text)
+
+
+def _document(states, letters, tracks):
+    return json.dumps({"alphabet": letters, "tracks": tracks, "states": states,
+                       "initial": [0], "accepting": [], "transitions": []})
+
+
+@pytest.mark.parametrize("states,letters,tracks", [
+    (1, ["a"], 64), (1, ["a", "b"], 10 ** 9), (2, ["a"], 20), (2 ** 21, ["a"], 0)])
+def test_oversized_table_rejected_before_allocation(states, letters, tracks):
+    with pytest.raises(FormatError, match=f"2\\^{tracks} track patterns exceeds"):
+        parse_automaton(_document(states, letters, tracks))
+
+
+def test_table_at_the_size_limit_is_accepted():
+    assert MAX_TABLE_CELLS == 2 ** 20
+    aut = parse_automaton(_document(1, ["a"], 20))
+    assert aut.tracks == 20 and aut.is_empty()
 
 
 def test_dot_export_mentions_states_and_labels():

@@ -3,8 +3,8 @@
 import pytest
 
 from msostr import (Alphabet, EpsilonMode, UnknownLetter, VariableKindMismatch,
-                    evaluate, expand, free_vars, is_core, is_sentence,
-                    parse_formula)
+                    evaluate, expand, free_vars, free_vars_in_order, is_core,
+                    is_sentence, parse_formula)
 from msostr import syntax as S
 from msostr.semantics import Assignment, words_over
 
@@ -101,6 +101,40 @@ def test_free_vars_shadowing():
     fv = free_vars(phi)
     assert fv.fo == {"x"}
     assert fv.so == {"X"}
+
+
+def test_free_vars_in_order_first_occurrence():
+    phi = parse_formula("y <= x & X sub Y", AB)
+    assert free_vars_in_order(phi) == (("y", "x"), ("X", "Y"))
+    # the expansion of <= swaps the position operands
+    assert free_vars_in_order(expand(phi, AB, keep_succ=True)) == (("x", "y"), ("X", "Y"))
+    shadowed = parse_formula("b(y) & (ex1 y. y < x & a(y)) & x in X", AB)
+    assert free_vars_in_order(shadowed) == (("y", "x"), ("X",))
+
+
+def test_free_vars_in_order_under_stripped_quantifiers():
+    """Stripping the two outer quantifiers of the expanded factor sentence
+    leaves exactly its two position variables free, in order."""
+    phi, alphabet = sentence("contains_aa")
+    core = expand(phi, alphabet, keep_succ=True)
+    assert free_vars_in_order(core) == ((), ())
+    assert free_vars_in_order(core.body.body) == (("x", "y"), ())
+
+
+def test_unknown_node_rejected_by_every_walk():
+    class Stray(S.Formula):
+        pass
+
+    for walk in (free_vars, lambda f: S.check_well_formed(f, AB)):
+        with pytest.raises(TypeError):
+            walk(S.Not(Stray()))
+    assert not is_core(S.Not(Stray()))
+
+
+def test_fresh_names_skip_names_in_use():
+    fresh = S._Fresh({"x", "_v0", "_v7", "_vx"})
+    assert [fresh(), fresh()] == ["_v8", "_v9"]
+    assert S._Fresh(())() == "_v0"
 
 
 def test_is_sentence():
