@@ -4,6 +4,10 @@ Symbols pair a letter with a vector of k membership bits, one per free set
 variable; k = 0 gives ordinary automata over the alphabet.  All automata
 are immutable; every operation returns a new value.  Witnesses and
 counterexamples are always the shortlex-least word, so output is stable.
+Emptiness, equivalence and containment are decided by one lazy
+breadth-first walk over pairs of state sets of the two automata, without
+determinizing or complementing either; ``product`` determinizes its
+inputs and pairs their states.
 
 Internally a symbol is its code ``letter_index << k | bits``, track 0 the
 most significant bit, so codes ascend in ``all_symbols`` order.  An NFA
@@ -231,15 +235,6 @@ class Nfa:
 
     # -- constructions ----------------------------------------------------
 
-    def totalize(self) -> "Nfa":
-        """Add a non-accepting sink so every (state, symbol) has a successor."""
-        if self.is_complete():
-            return self
-        sink = (self.n_states,)
-        rows = tuple(tuple(t or sink for t in row) for row in self._succ)
-        return Nfa._make(self.alphabet, self.tracks, self.n_states + 1, self.initial,
-                         self.accepting, rows + ((sink,) * self._ns,))
-
     def determinize(self) -> "Dfa":
         """Subset construction; the result is total and deterministic."""
         return self._explore(tuple(sorted(self.initial)),
@@ -261,41 +256,16 @@ class Nfa:
         return Dfa._make(self.alphabet, self.tracks, len(order), frozenset({0}),
                          frozenset(i for i, key in enumerate(order) if is_final(key)), table)
 
-    def product(self, other: "Nfa", combine: str) -> "Nfa":
-        """Synchronous product: ``and`` intersects, ``or`` unites languages.
-
-        Union must run both inputs on every word, so each gets an initial
-        state and is totalized first.  The product of two DFAs is a DFA.
+    def product(self, other: "Nfa", combine: str) -> "Dfa":
+        """Synchronous product of the determinized inputs: ``and``
+        intersects, ``or`` unites languages.  Determinized inputs are total,
+        the empty subset being their sink, so union runs both on every word.
         """
         self._check_compatible(other)
         if combine not in _KEEP:
             raise ValueError(f"combine must be 'and' or 'or', got {combine!r}")
-        a, b = self, other
-        if combine == "or":
-            a, b = ((x if x.initial else x._empty()).totalize() for x in (self, other))
-        if isinstance(a, Dfa) and isinstance(b, Dfa):
-            return a._explore(*_pairs(a, b, _KEEP[combine]))
-        sa, sb, width = a._succ, b._succ, b.n_states
-        pairs = {}  # the pair (p, q) is keyed p * width + q
-
-        def successors(key):
-            p, q = divmod(key, width)
-            pairs[key] = [[p2 * width + q2 for p2 in ta for q2 in tb]
-                          for ta, tb in zip(sa[p], sb[q])]
-            return (target for targets in pairs[key] for target in targets)
-
-        order = _bfs([p * width + q for p in sorted(a.initial) for q in sorted(b.initial)],
-                     successors)
-        if not order:
-            return self._empty()
-        index = {key: i for i, key in enumerate(order)}
-        keep = _KEEP[combine]
-        final = frozenset(i for i, key in enumerate(order)
-                          if keep(key // width in a.accepting, key % width in b.accepting))
-        rows = tuple(tuple(tuple(sorted(index[t] for t in targets)) for targets in pairs[key])
-                     for key in order)
-        return Nfa._make(self.alphabet, self.tracks, len(order),
-                         frozenset(range(len(a.initial) * len(b.initial))), final, rows)
+        a, b = self.determinize(), other.determinize()
+        return a._explore(*_pairs(a, b, _KEEP[combine]))
 
     def complement(self) -> "Dfa":
         """Determinize, then flip acceptance; exact within the track alphabet."""
@@ -366,9 +336,7 @@ class Nfa:
 
     def shortest_word(self) -> Word | None:
         """Shortlex-least accepted word, or None if the language is empty."""
-        return self._search(tuple(sorted(self.initial)),
-                            lambda subset: enumerate(self._moves(subset)),
-                            lambda subset: not self.accepting.isdisjoint(subset))
+        return self.containment_counterexample(self._empty())
 
     def _moves(self, subset):
         """The successor set of a set of states on each code."""
@@ -376,21 +344,33 @@ class Nfa:
         return (rows[0] if len(rows) == 1 else
                 map(_union, zip(*rows)) if rows else ((),) * self._ns)
 
-    def _search(self, start, moves, is_goal) -> Word | None:
-        """Shortlex-least word leading from ``start`` to a goal key, breadth
-        first; ``moves(key)`` lists (code, key) pairs in code order.  The
-        empty tuple, an empty set of states, is a dead end."""
+    def _search(self, other: "Nfa", goal) -> Word | None:
+        """Shortlex-least word leading to a pair (S, T) of state sets of
+        ``self`` and ``other`` with ``goal(S accepts, T accepts)``, or None.
+
+        Breadth first over the pairs reached, symbols in code order, so the
+        first goal pair found is reached by the least word.  A pair whose S
+        is empty is a dead end unless ``goal(False, True)`` holds.
+        """
+        self._check_compatible(other)
+        here, there = self.accepting, other.accepting
+
+        def is_goal(pair):
+            return goal(not here.isdisjoint(pair[0]), not there.isdisjoint(pair[1]))
+
+        start = (tuple(sorted(self.initial)), tuple(sorted(other.initial)))
         if is_goal(start):
             return ()
+        only_there = goal(False, True)
         words = {start: ()}
         order = [start]
         for key in order:  # grows while iterated
-            for code, target in moves(key):
-                if target != () and target not in words:
-                    words[target] = words[key] + (code,)
-                    if is_goal(target):
-                        return tuple(self.symbols[c] for c in words[target])
-                    order.append(target)
+            for code, pair in enumerate(zip(self._moves(key[0]), other._moves(key[1]))):
+                if pair not in words and (pair[0] or only_there):
+                    words[pair] = words[key] + (code,)
+                    if is_goal(pair):
+                        return tuple(self.symbols[c] for c in words[pair])
+                    order.append(pair)
         return None
 
     def is_empty(self) -> bool:
@@ -398,16 +378,14 @@ class Nfa:
 
     def counterexample(self, other: "Nfa") -> Word | None:
         """Shortlex-least word on which the two languages differ."""
-        self._check_compatible(other)
-        start, differ, moves = _pairs(self.determinize(), other.determinize(), ne)
-        return self._search(start, lambda key: enumerate(moves(key)), differ)
+        return self._search(other, ne)
 
     def equivalent(self, other: "Nfa") -> bool:
         return self.counterexample(other) is None
 
     def containment_counterexample(self, other: "Nfa") -> Word | None:
         """Shortlex-least word accepted here but not by ``other``."""
-        return self.product(other.complement(), "and").shortest_word()
+        return self._search(other, lambda here, there: here and not there)
 
     def contained_in(self, other: "Nfa") -> bool:
         """True iff every word accepted here is accepted by ``other``."""

@@ -10,8 +10,8 @@ negation to complement, disjunction to product, and a set quantifier to
 the projection of its track.  A position quantifier first conjoins the
 singleton automaton of its track, then projects it; free position
 variables of open formulas get the same singleton conjunction at the top
-level.  Intermediate results are determinized and minimized after every
-step.
+level.  Every intermediate result is a minimal DFA: each step minimizes
+its result, except negation, as the complement of a minimal DFA is minimal.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def atomic_automaton(atom: Atom, tm: TrackMap | Sequence[str],
 def _singleton(i: int, body: Dfa) -> Dfa:
     """``body`` conjoined with: track ``i`` holds exactly one position."""
     sing = _aut_sing(i, body.alphabet, body.tracks).determinize().minimize()
-    return sing.product(body, "and").determinize().minimize()
+    return sing.product(body, "and").minimize()
 
 
 def _build(f: Formula, tracks: tuple[str, ...], alphabet: Alphabet) -> Dfa:
@@ -151,11 +151,12 @@ def _build(f: Formula, tracks: tuple[str, ...], alphabet: Alphabet) -> Dfa:
         case S.Letter() | S.SetMember() | S.Succ() | S.Less():
             return atomic_automaton(f, tracks, alphabet).determinize().minimize()
         case S.Not(b):
-            return _build(b, tracks, alphabet).complement().minimize()
+            # the complement of a minimal DFA is minimal, numbered alike
+            return _build(b, tracks, alphabet).complement()
         case S.Or(a, b):
             left = _build(a, tracks, alphabet)
             right = _build(b, tracks, alphabet)
-            return left.product(right, "or").determinize().minimize()
+            return left.product(right, "or").minimize()
         case S.ExistsFO(x, b):
             inner = _singleton(len(tracks), _build(b, tracks + (x,), alphabet))
             return inner.project(len(tracks)).determinize().minimize()

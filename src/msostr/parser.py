@@ -445,6 +445,11 @@ def render_automaton(aut: Nfa) -> str:
 MAX_TABLE_CELLS = 1 << 20
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``bool`` is a subclass of ``int`` in Python."""
+    return type(value) is int
+
+
 def parse_automaton(text: str) -> Nfa:
     """Parse the JSON exchange format back into an automaton."""
     try:
@@ -456,15 +461,18 @@ def parse_automaton(text: str) -> Nfa:
     for key in ("alphabet", "tracks", "states", "initial", "accepting", "transitions"):
         if key not in doc:
             raise FormatError(f"missing key {key!r}")
+    for key in ("alphabet", "initial", "accepting", "transitions"):
+        if not isinstance(doc[key], list):
+            raise FormatError(f"{key} must be a list")
     try:
         alphabet = Alphabet(tuple(doc["alphabet"]))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad alphabet: {exc}") from None
     tracks = doc["tracks"]
     n_states = doc["states"]
-    if not isinstance(tracks, int) or tracks < 0:
+    if not _is_int(tracks) or tracks < 0:
         raise FormatError("tracks must be a non-negative integer")
-    if not isinstance(n_states, int) or n_states < 1:
+    if not _is_int(n_states) or n_states < 1:
         raise FormatError("states must be a positive integer")
     width = n_states * len(alphabet)
     if tracks >= MAX_TABLE_CELLS.bit_length() or width << tracks > MAX_TABLE_CELLS:
@@ -472,12 +480,11 @@ def parse_automaton(text: str) -> Nfa:
                           f"letters x 2^{tracks} track patterns exceeds "
                           f"{MAX_TABLE_CELLS} cells")
     for key in ("initial", "accepting"):
-        if not isinstance(doc[key], list) or any(
-                not isinstance(q, int) or not 0 <= q < n_states for q in doc[key]):
+        if any(not _is_int(q) or not 0 <= q < n_states for q in doc[key]):
             raise FormatError(f"{key} must list states in range 0..{n_states - 1}")
     for item in doc["transitions"]:
         if (not isinstance(item, list) or len(item) != 4
-                or not isinstance(item[0], int) or not isinstance(item[3], int)
+                or not _is_int(item[0]) or not _is_int(item[3])
                 or not isinstance(item[1], str) or not isinstance(item[2], list)):
             raise FormatError(f"bad transition {item!r}")
         p, letter, bits, q = item
@@ -485,7 +492,7 @@ def parse_automaton(text: str) -> Nfa:
             raise DanglingState(f"transition {item!r} references an undeclared state")
         if letter not in alphabet:
             raise FormatError(f"transition letter {letter!r} not in alphabet")
-        if len(bits) != tracks or any(b not in (0, 1) for b in bits):
+        if len(bits) != tracks or any(not _is_int(b) or b not in (0, 1) for b in bits):
             raise FormatError(f"transition bits {bits!r} must be {tracks} zeros/ones")
     return Nfa._make(alphabet, tracks, n_states, frozenset(doc["initial"]),
                      frozenset(doc["accepting"]),

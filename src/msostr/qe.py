@@ -85,22 +85,6 @@ QF_TRUE = QfAnd(())
 QF_FALSE = QfOr(())
 
 
-def lt_const(x: str, k: int) -> Lt:
-    return Lt(var(x), const(k))
-
-
-def gt_const(x: str, k: int) -> Lt:
-    return Lt(const(k), var(x))
-
-
-def lt_var(x: str, y: str, k: int = 0) -> Lt:
-    return Lt(var(x), var(y, k))
-
-
-def gt_var(x: str, y: str, k: int = 0) -> Lt:
-    return Lt(var(y, k), var(x))
-
-
 def k_lt_last(k: int) -> Lt:
     return Lt(const(k), last())
 

@@ -477,7 +477,9 @@ def _check(operation, a, b):
         assert _language(det, max_len) == la
     elif operation in ("product_and", "product_or"):
         combine = operation.split("_")[1]
-        got = _language(a.product(b, combine), max_len)
+        product = a.product(b, combine)
+        assert isinstance(product, Dfa)
+        got = _language(product, max_len)
         assert got == (la & lb if combine == "and" else la | lb)
     elif operation == "complement":
         assert _language(a.complement(), max_len) == _universe(a, max_len) - la

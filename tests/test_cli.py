@@ -164,6 +164,17 @@ def test_oversized_automaton_document_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and "2^64" in err
 
 
+def test_boolean_in_automaton_document_is_an_input_error(capsys, tmp_path):
+    doc = tmp_path / "bool.json"
+    doc.write_text('{"alphabet": ["a", "b"], "tracks": 0, "states": true,'
+                   ' "initial": [false], "accepting": [], "transitions": []}')
+    code, out, err = run(capsys, "equiv", "--alphabet", "a,b",
+                         "--f1", str(doc), "--f2", "ex1 x. a(x)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "states" in err
+
+
 def test_output_determinism(capsys):
     args = ("enumerate", "--alphabet", "a,b",
             "--formula", "ex1 x. a(x)", "--max-len", "4")

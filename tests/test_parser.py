@@ -157,6 +157,22 @@ def test_format_errors(text):
         parse_automaton(text)
 
 
+_GOOD = {"alphabet": ["a", "b"], "tracks": 1, "states": 2, "initial": [0],
+         "accepting": [1], "transitions": [[0, "a", [1], 1]]}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tracks", True), ("tracks", False), ("states", True), ("initial", [False]),
+    ("accepting", [True]), ("transitions", [[False, "a", [1], 1]]),
+    ("transitions", [[0, "a", [1], True]]), ("transitions", [[0, "a", [True], 1]]),
+    ("transitions", [[0, "a", [1.0], 1]]), ("alphabet", "ab"), ("transitions", ""),
+    ("initial", 0), ("accepting", "1")])
+def test_wrong_json_types_are_format_errors(key, value):
+    assert parse_automaton(json.dumps(_GOOD)).tracks == 1
+    with pytest.raises(FormatError):
+        parse_automaton(json.dumps({**_GOOD, key: value}))
+
+
 def _document(states, letters, tracks):
     return json.dumps({"alphabet": letters, "tracks": tracks, "states": states,
                        "initial": [0], "accepting": [], "transitions": []})
