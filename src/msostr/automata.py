@@ -471,6 +471,26 @@ class Dfa(Nfa):
     def determinize(self) -> "Dfa":
         return self
 
+    def lift(self, to: int, tracks) -> "Dfa":
+        """The same language over ``to`` tracks: track i becomes track
+        ``tracks[i]``, and the tracks added are left free.  The inverse of
+        projecting the added tracks; a minimal DFA stays minimal."""
+        tracks, k = tuple(tracks), self.tracks
+        if len(tracks) != k or len(set(tracks)) != k or not all(0 <= t < to for t in tracks):
+            raise BadTrack(f"cannot place {k} tracks at {tracks} of {to}")
+        if to == k and tracks == tuple(range(k)):
+            return self
+        weight = [0] * to  # what a track's bit adds to the code read
+        for i, t in enumerate(tracks):
+            weight[t] = 1 << (k - 1 - i)
+        bits = [0]
+        for w in weight:  # track 0 is the most significant bit
+            bits = [b + d for b in bits for d in (0, w)]
+        old = [a << k | b for a in range(len(self.alphabet)) for b in bits]
+        ns, table = self._ns, self._core
+        return Dfa._make(self.alphabet, to, self.n_states, self.initial, self.accepting,
+                         [table[base + c] for base in range(0, len(table), ns) for c in old])
+
     def minimize(self) -> "Dfa":
         """Unique minimal complete DFA, states numbered breadth-first.
 

@@ -3,15 +3,21 @@
 A formula is first expanded into the syntax core with successor kept
 primitive (``syntax.expand(..., keep_succ=True)``): letter, membership,
 successor and order atoms, negation, disjunction and the two
-existentials.  The compiler is one induction over that core.  Every
-variable has a track; a position is a track that holds exactly one 1.
-Each atom maps to a fixed small automaton over the track alphabet,
-negation to complement, disjunction to product, and a set quantifier to
-the projection of its track.  A position quantifier first conjoins the
-singleton automaton of its track, then projects it; free position
-variables of open formulas get the same singleton conjunction at the top
-level.  Every intermediate result is a minimal DFA: each step minimizes
-its result, except negation, as the complement of a minimal DFA is minimal.
+existentials.  The compiler is one induction over that core, and each
+subformula is compiled over its own free variables only, one track each;
+a position is a track that holds exactly one 1.  Each atom maps to a
+fixed small automaton over the track alphabet, negation to complement,
+disjunction to the product of both operands lifted to the union of their
+tracks, and a set quantifier to the projection of its track.  A position
+quantifier first conjoins the singleton automaton of its track, then
+projects it; a quantifier whose variable is not free leaves its body as
+it is.  Subformulas equal up to a renaming of their free variables share
+one automaton within a compile.  At the top level the result is lifted
+to the tracks of the ``TrackMap``, and free position variables of open
+formulas get the singleton conjunction.  Every intermediate result is a
+minimal DFA: each step minimizes its result, except negation, as the
+complement of a minimal DFA is minimal, and lifting, which keeps a
+minimal DFA minimal.
 """
 
 from __future__ import annotations
@@ -114,14 +120,8 @@ Atom = Union[S.Letter, S.SetMember, S.Succ, S.Less]
 def atomic_automaton(atom: Atom, tm: TrackMap | Sequence[str],
                      alphabet: Alphabet) -> Nfa:
     """The fixed automaton of one core atom over the given tracks."""
-    variables = tuple(tm)
-    tracks = len(variables)
-
-    def idx(var: str) -> int:
-        for i in range(tracks - 1, -1, -1):  # innermost binding wins
-            if variables[i] == var:
-                return i
-        raise UnmappedVariable(f"variable {var!r} has no track")
+    tm = TrackMap(tuple(tm))
+    tracks, idx = len(tm), tm.index
 
     match atom:
         case S.Letter(a, x):
@@ -146,25 +146,62 @@ def _singleton(i: int, body: Dfa) -> Dfa:
     return sing.product(body, "and").minimize()
 
 
-def _build(f: Formula, tracks: tuple[str, ...], alphabet: Alphabet) -> Dfa:
+def _build(f: Formula, alphabet: Alphabet, memo: dict, dfas: list[Dfa]
+           ) -> tuple[int, tuple[str, ...]]:
+    """Compile ``f`` over its own free variables.
+
+    Returns ``(i, names)``: ``dfas[i]`` is the minimal DFA of ``f`` whose
+    tracks are ``names``, the free variables of ``f`` in first-occurrence
+    order.  The memo key of a node holds no variable names: the kind, the
+    letter and the occurrence pattern of an atom, the children's indices,
+    and the slots of a disjunction's right operand.  Subformulas equal up
+    to a renaming of their free variables are thus built once.
+    """
     match f:
         case S.Letter() | S.SetMember() | S.Succ() | S.Less():
-            return atomic_automaton(f, tracks, alphabet).determinize().minimize()
+            positions, sets, _ = S._parts(f)
+            names = tuple(dict.fromkeys(positions + sets))
+            key = (type(f), getattr(f, "letter", None),
+                   tuple(map(names.index, positions + sets)))
+
+            def make():
+                return atomic_automaton(f, names, alphabet).determinize().minimize()
         case S.Not(b):
-            # the complement of a minimal DFA is minimal, numbered alike
-            return _build(b, tracks, alphabet).complement()
+            i, names = _build(b, alphabet, memo, dfas)
+            key = (S.Not, i)
+
+            def make():  # the complement of a minimal DFA is minimal
+                return dfas[i].complement()
         case S.Or(a, b):
-            left = _build(a, tracks, alphabet)
-            right = _build(b, tracks, alphabet)
-            return left.product(right, "or").minimize()
-        case S.ExistsFO(x, b):
-            inner = _singleton(len(tracks), _build(b, tracks + (x,), alphabet))
-            return inner.project(len(tracks)).determinize().minimize()
-        case S.ExistsSO(X, b):
-            inner = _build(b, tracks + (X,), alphabet)
-            return inner.project(len(tracks)).determinize().minimize()
+            i, left = _build(a, alphabet, memo, dfas)
+            j, right = _build(b, alphabet, memo, dfas)
+            names = left + tuple(v for v in right if v not in left)
+            slots = tuple(map(names.index, right))
+            key = (S.Or, i, j, slots)
+
+            def make():
+                return (dfas[i].lift(len(names), range(len(left)))
+                        .product(dfas[j].lift(len(names), slots), "or").minimize())
+        case S.ExistsFO(x, b) | S.ExistsSO(x, b):
+            i, body = _build(b, alphabet, memo, dfas)
+            if x not in body:
+                # only the empty word can tell the two apart, and the
+                # top-level with_epsilon decides the empty word
+                return i, body
+            t = body.index(x)
+            names = body[:t] + body[t + 1:]
+            key = (type(f), i, t)
+
+            def make():
+                inner = _singleton(t, dfas[i]) if type(f) is S.ExistsFO else dfas[i]
+                return inner.project(t).determinize().minimize()
         case _:
             raise TypeError(f"unexpected node after expansion: {f!r}")
+    n = memo.get(key)
+    if n is None:
+        n = memo[key] = len(dfas)
+        dfas.append(make())
+    return n, names
 
 
 def compile_with_tracks(phi: Formula, alphabet: Alphabet,
@@ -172,8 +209,11 @@ def compile_with_tracks(phi: Formula, alphabet: Alphabet,
     """Compile a formula to a minimal DFA plus its free-variable tracks."""
     core = expand(phi, alphabet, keep_succ=True)
     free_fo = free_vars_in_order(phi)[0]
-    order = free_fo + free_vars_in_order(core)[1]
-    aut = _build(core, order, alphabet)
+    dfas: list[Dfa] = []
+    top, names = _build(core, alphabet, {}, dfas)
+    # expansion binds every variable it adds, so the rest are free sets
+    order = free_fo + tuple(v for v in names if v not in free_fo)
+    aut = dfas[top].lift(len(order), map(order.index, names))
     for i in reversed(range(len(free_fo))):  # the innermost conjunct first
         aut = _singleton(i, aut)
     # Under INCLUDE the empty word is accepted when the variant semantics

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from msostr import (Alphabet, Dfa, Nfa, TrackMismatch, compile_formula,
+from msostr import (Alphabet, BadTrack, Dfa, Nfa, TrackMismatch, compile_formula,
                     parse_formula, sym)
 from msostr.automata import all_symbols, live_and_dead_states
 
@@ -121,6 +121,13 @@ def test_projection_matches_annotation_search():
                                  in zip(((s.letter, s.bits[0]) for s in word), bits1)])
                     for bits1 in itertools.product((0, 1), repeat=length))
                 assert projected.accepts(word) == annotated
+
+
+@pytest.mark.parametrize("to, tracks", [(2, (0,)), (2, (1, 1)), (2, (0, 2)), (1, (0, 1))])
+def test_lift_rejects_bad_track_map(to, tracks):
+    aut = succ_automaton_k2().determinize()
+    with pytest.raises(BadTrack):
+        aut.lift(to, tracks)
 
 
 def test_determinize_fixpoint_on_dfa():
@@ -413,7 +420,7 @@ def _random_nfa(rng, alphabet, tracks):
 
 def _max_len(aut):
     """Up to length 6, shorter over wider track alphabets."""
-    return {1: 6, 2: 6, 4: 4, 8: 3}[len(aut.symbols)]
+    return {1: 6, 2: 6, 4: 4, 8: 3, 16: 2}[len(aut.symbols)]
 
 
 def _language(aut, max_len):
@@ -487,6 +494,27 @@ def _check(operation, a, b):
         for track in range(a.tracks):
             dropped = {tuple(s.drop(track) for s in w) for w in la}
             assert _language(a.project(track), max_len) == dropped
+    elif operation == "lift":
+        det = a.determinize()
+        for to in range(a.tracks, 4):
+            for tracks in itertools.permutations(range(to), a.tracks):
+                lifted = det.lift(to, tracks)
+                short = _max_len(lifted)
+                la = _language(a, short)
+                assert _language(lifted, short) == {
+                    w for w in _universe(lifted, short)
+                    if tuple(sym(s.letter, *(s.bits[t] for t in tracks)) for s in w) in la}
+                # erasing the added tracks keeps the others in ascending order
+                kept = sorted(tracks)
+                projected = lifted
+                for t in reversed(range(to)):
+                    if t not in tracks:
+                        projected = projected.project(t)
+                if kept == list(tracks):
+                    assert projected.equivalent(a)
+                assert _language(projected, short) == {
+                    tuple(sym(s.letter, *(s.bits[tracks.index(t)] for t in kept)) for s in w)
+                    for w in la}
     elif operation == "minimize":
         minimal = a.determinize().minimize()
         assert _language(minimal, max_len) == la
@@ -515,7 +543,7 @@ def _check(operation, a, b):
 
 @pytest.mark.parametrize("operation", [
     "determinize", "product_and", "product_or", "complement", "project",
-    "minimize", "trim", "shortest_word", "counterexample",
+    "lift", "minimize", "trim", "shortest_word", "counterexample",
     "containment_counterexample", "enumerate_words"])
 def test_operation_matches_brute_force(operation):
     rng = random.Random(8117)

@@ -304,3 +304,78 @@ def test_compilation_is_deterministic():
     first = render_automaton(compile_formula(phi, alphabet))
     second = render_automaton(compile_formula(phi, alphabet))
     assert first == second
+
+
+# Each subformula is compiled over its own free variables, and subformulas
+# equal up to a renaming of those share one automaton.  The cases below are
+# where that sharing and the lifting to a union of tracks could go wrong.
+
+def _assert_agrees_on_every_assignment(text, mode=EpsilonMode.EXCLUDE, max_len=4):
+    """The compiled automaton accepts an annotated word exactly when the
+    interpreter accepts the word under the assignment it encodes."""
+    phi = parse_formula(text, AB)
+    compiled, tm = compile_with_tracks(phi, AB, mode)
+    positions = [v[0].islower() for v in tm]
+    if mode is EpsilonMode.INCLUDE:
+        expected = not any(positions) and evaluate("", phi, None, mode)
+        assert compiled.accepts(()) == expected, text
+    for length in range(1, max_len + 1):
+        subsets = list(map(frozenset, itertools.chain.from_iterable(
+            itertools.combinations(range(length), k) for k in range(length + 1))))
+        domains = [range(length) if fo else subsets for fo in positions]
+        for values in itertools.product(*domains):
+            nu = Assignment(nu1={v: p for v, p, fo in zip(tm, values, positions) if fo},
+                            nu2={v: p for v, p, fo in zip(tm, values, positions) if not fo})
+            tracks = [[int(i == p if fo else i in p) for p, fo in zip(values, positions)]
+                      for i in range(length)]
+            for letters in itertools.product("ab", repeat=length):
+                word = [sym(l, *bits) for l, bits in zip(letters, tracks)]
+                assert compiled.accepts(word) == evaluate(letters, phi, nu, mode), \
+                    (text, word)
+
+
+@pytest.mark.parametrize("text", [
+    "succ(x, y) | succ(y, x)",
+    "(succ(x, y) | succ(y, z)) & (succ(x, y) | succ(z, x))",
+    "(x in X & y in Y) | (y in X & x in Y)",
+    "ex2 X. (x in X & ex2 X. !(x in X))",
+    "ex1 z. a(x) | all2 Z. X sub Y",
+])
+def test_open_formulas_agree_with_interpreter(text):
+    _assert_agrees_on_every_assignment(text)
+
+
+@pytest.mark.parametrize("mode", list(EpsilonMode))
+@pytest.mark.parametrize("text", [
+    "ex1 z. all1 y. a(y)",
+    "all1 z. ex1 y. a(y)",
+    "ex2 Z. all2 Y. X sub Y",
+    "all2 Z. ex2 Y. Y sub X",
+])
+def test_quantifier_over_variable_not_free(text, mode):
+    _assert_agrees_on_every_assignment(text, mode)
+
+
+def test_chain_of_quantified_conjuncts_compiles_in_linear_time():
+    """Each ``x`` nests inside the last; built over all tracks in scope,
+    the chain would take time exponential in its length."""
+    from msostr import render_automaton
+    single = parse_formula("ex1 x. a(x)", AB)
+    chain = parse_formula(" & ".join(["ex1 x. a(x)"] * 60), AB)
+    assert render_automaton(compile_formula(chain, AB)) == \
+        render_automaton(compile_formula(single, AB))
+
+
+def test_clauses_equal_up_to_renaming_are_built_once(monkeypatch):
+    from msostr.automata import Nfa
+    calls = []
+    project = Nfa.project
+    monkeypatch.setattr(Nfa, "project", lambda self, track: calls.append(track)
+                        or project(self, track))
+    phi = parse_formula("!(ex1 y. y in X0 & y in X1) & !(ex1 y. y in X0 & y in X2)"
+                        " & !(ex1 y. y in X1 & y in X2)", AB)
+    compiled, tm = compile_with_tracks(phi, AB)
+    assert len(calls) == 1
+    assert tuple(tm) == ("X0", "X1", "X2")
+    assert compiled.accepts([sym("a", 1, 0, 0), sym("b", 0, 1, 1)]) is False
+    assert compiled.accepts([sym("a", 1, 0, 0), sym("b", 0, 1, 0)]) is True
